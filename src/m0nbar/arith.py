@@ -6,15 +6,15 @@ denominator is positive, numerator and denominator are coprime, and
 zero is stored as 0/1.  Equality and hashing agree with plain ints for
 integral values, so Rational(4, 2) == 2 and both hash alike.
 
-Matrix rank is computed by fraction-free (Bareiss) elimination after
-clearing denominators row by row, so no floating point is involved
-anywhere.
+Matrix rank is computed by sparse fraction-free elimination of integer
+rows (dense rows or {column: value} dicts, denominators cleared), so no
+floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union["Rational", int]
 
@@ -194,16 +194,8 @@ class RationalMatrix:
             if len(row) != self.ncols:
                 raise ValueError("ragged matrix")
 
-    def _integer_rows(self) -> list[list[int]]:
-        # scaling a row by a positive integer never changes the rank
-        out = []
-        for row in self.rows:
-            m = lcm(*(x.den for x in row)) if row else 1
-            out.append([x.num * (m // x.den) for x in row])
-        return out
-
     def rank(self) -> int:
-        return _integer_rank(self._integer_rows())
+        return matrix_rank(self.rows)
 
     def solve(self, rhs: Sequence[RationalLike]) -> list[Rational] | None:
         """One exact solution x of self * x = rhs, or None if inconsistent.
@@ -241,35 +233,58 @@ class RationalMatrix:
         return x
 
 
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Rank by Bareiss fraction-free elimination (exact divisions only)."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        # every row below is updated, zero pivot column or not: Bareiss
-        # exactness (each entry a minor of the input) needs the uniform rule
-        for i in range(r + 1, nrows):
-            mi, mr = m[i], m[r]
-            f = mi[c]
-            for j in range(c, ncols):
-                mi[j] = (mi[j] * p - f * mr[j]) // prev
-        prev = p
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+def _strip_content(terms: dict) -> None:
+    """Divide the int values of `terms` in place by their gcd."""
+    g = 0
+    for v in terms.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
+    if g > 1:
+        for m in terms:
+            terms[m] //= g
 
 
-def matrix_rank(rows: Sequence[Sequence[RationalLike]]) -> int:
-    """Exact rank of a matrix given as nested sequences of Rational/int."""
-    return RationalMatrix(rows).rank()
+def _integer_row(row: Sequence[RationalLike] | Mapping) -> dict:
+    """{column: int} with the row's nonzero entries times the lcm of their
+    denominators; scaling a row by a positive integer keeps the rank."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    out = {j: x for j, x in items if x}
+    m = lcm(*(x.den for x in out.values() if isinstance(x, Rational)))
+    for j, x in out.items():
+        out[j] = x.num * (m // x.den) if isinstance(x, Rational) else x * m
+    return out
+
+
+def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
+    """Exact rank of a matrix of Rational/int entries, each row a dense
+    sequence or a sparse {column: value} dict (absent columns are zero).
+
+    Rows enter an echelon keyed by leading (smallest) column one at a
+    time: while pivot p holds the row's leading column c, the row becomes
+    (p[c] * row - row[c] * p) / gcd(p[c], row[c]).  A row that reaches a
+    free column is divided by its content and becomes its pivot.
+    """
+    pivots: dict = {}
+    for row in rows:
+        r = _integer_row(row)
+        while r:
+            c = min(r)
+            p = pivots.get(c)
+            if p is None:
+                _strip_content(r)
+                pivots[c] = r
+                break
+            a, b = p[c], r[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                for j in r:
+                    r[j] *= a
+            for j, x in p.items():
+                y = r.get(j, 0) - b * x
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+    return len(pivots)

@@ -29,11 +29,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb
 from typing import Iterable, Sequence
 
-from .arith import Rational, RationalMatrix
-from .ideal import Ideal, contains, normal_form
+from .arith import Rational, RationalMatrix, _strip_content
+from .ideal import Ideal, _int_form, contains, normal_form
 from .poly import (
     Polynomial,
     RingSpec,
@@ -57,15 +57,10 @@ def _block_var(ring: RingSpec, block: int, j: int) -> Polynomial:
 def _canonical_sign(p: Polynomial) -> Polynomial:
     """Scale to integer, content-free coefficients with a positive
     lex-leading coefficient."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, c.num)
-        den_lcm = lcm(den_lcm, c.den)
-    scale = Rational(den_lcm, num_gcd)
-    if p.leading_coefficient(lex_order(p.ring)).num < 0:
-        scale = -scale
-    return p * scale
+    terms = _int_form(p)
+    _strip_content(terms)
+    sign = -1 if terms[p.leading_monomial(lex_order(p.ring))] < 0 else 1
+    return Polynomial(p.ring, {m: Rational(sign * c) for m, c in terms.items()})
 
 
 def _sorted_by_lead(polys: Iterable[Polynomial], ring: RingSpec) -> list:

@@ -114,6 +114,11 @@ def test_rank_examples():
     # rank 2: rows 3 and 4 are combinations of rows 1 and 2
     rows = [[1, 2, 3, 4], [0, 1, 1, 0], [1, 3, 4, 4], [2, 5, 7, 8]]
     assert matrix_rank(rows) == 2
+    # sparse {column: value} rows; columns need not start at 0 or be contiguous
+    assert matrix_rank([{}, {}]) == 0
+    assert matrix_rank([{5: 2}, {}, {5: rat(-3, 7)}]) == 1
+    assert matrix_rank([{10: 1, 20: 1}, {20: 1, 30: 1}, {10: 1, 30: -1}]) == 2
+    assert matrix_rank([{10: 1, 20: 1}, {20: 1, 30: 1}, {10: 1, 30: 1}]) == 3
 
 
 matrix_entries = st.integers(min_value=-30, max_value=30)
@@ -149,6 +154,50 @@ def test_rank_invariant_under_row_operations(rows, seed, scale):
 def test_rank_transpose_invariant(rows):
     t = [list(col) for col in zip(*rows)]
     assert matrix_rank(rows) == matrix_rank(t)
+
+
+# wide sparse matrices as {column: value} rows, the layout of Macaulay
+# rows: empty rows, explicit zeros, entries outside +-1, denominators,
+# and duplicated or scaled copies of earlier rows
+sparse_entries = st.one_of(
+    matrix_entries,
+    st.builds(Rational, matrix_entries, st.integers(min_value=1, max_value=12)))
+
+
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(min_value=1, max_value=16))
+    row = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1),
+                          sparse_entries, max_size=4)
+    rows = draw(st.lists(row, max_size=9))
+    copies = draw(st.lists(st.tuples(st.integers(min_value=0, max_value=8),
+                                     st.one_of(st.just(rat(1)),
+                                               nonzero_rationals)),
+                           max_size=3))
+    for i, k in copies:
+        if rows:
+            rows.append({j: k * x for j, x in rows[i % len(rows)].items()})
+    return ncols, rows
+
+
+def dense(ncols, rows):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+@given(sparse_matrices())
+@settings(max_examples=300)
+def test_sparse_rank_matches_fraction_oracle(matrix):
+    ncols, rows = matrix
+    assert matrix_rank(rows) == fraction_rank(dense(ncols, rows))
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+           lambda w: st.lists(st.lists(sparse_entries, min_size=w, max_size=w),
+                              max_size=6)))
+@settings(max_examples=150)
+def test_rank_same_for_dense_and_sparse_rows(rows):
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert matrix_rank(rows) == RationalMatrix(rows).rank() == matrix_rank(sparse)
 
 
 def test_solve():

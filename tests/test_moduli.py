@@ -6,6 +6,7 @@ construction must reproduce them exactly, in order, up to the canonical
 normalization (content-free, positive lex-leading coefficient).
 """
 
+import os
 from math import comb
 
 import pytest
@@ -17,6 +18,7 @@ from m0nbar.ideal import (
     equal_ideals,
     graded_piece_dim,
     hilbert_degree,
+    min_gens_by_total_degree,
 )
 from m0nbar.moduli import (
     BoundaryDivisor,
@@ -238,6 +240,27 @@ def test_graded_pieces_monotone_and_agree_on_slices():
     # on the symmetric slices the quartic adds nothing new
     assert graded_piece_dim(J, (2, 2, 2)) == graded_piece_dim(I, (2, 2, 2))
     assert graded_piece_dim(J, (3, 3, 3)) == graded_piece_dim(I, (3, 3, 3))
+
+
+def cubic_quartic_ideal(n):
+    return Ideal(moduli_ring(n), cubic_generators(n) + quartic_equations(n))
+
+
+def test_invariants_n7_real_size():
+    # Macaulay matrices up to 517 x 900: the sparse rank kernel at size
+    I = cubic_quartic_ideal(7)
+    assert min_gens_by_total_degree(I) == {3: 15, 4: 6}
+    assert hilbert_degree(I) == (6, 105)
+    for D in ((1, 2, 1, 2), (1, 2, 2, 1)):
+        assert graded_piece_dim(I, D, "rank") == graded_piece_dim(I, D, "standard")
+
+
+@pytest.mark.skipif(os.environ.get("M0NBAR_SLOW") != "1",
+                    reason="n = 8 invariants take minutes; set M0NBAR_SLOW=1")
+def test_invariants_n8_match_predictions():
+    I = cubic_quartic_ideal(8)
+    assert min_gens_by_total_degree(I) == {3: comb(7, 4), 4: comb(7, 5)}
+    assert hilbert_degree(I) == (10, stable_tree_count(8))
 
 
 # -- Segre re-embedding -------------------------------------------------------
