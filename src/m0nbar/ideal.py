@@ -1,14 +1,26 @@
 """Groebner bases and ideal-level operations.
 
-Division and Buchberger's algorithm run on integer polynomial dicts
-internally (content-free, positive leading coefficient); an exact
-running denominator is tracked so that normal_form still returns the
-true rational remainder.  The S-pair queue uses the normal selection
-strategy (smallest lcm total degree first, ties broken by the monomial
-order) with the Gebauer-Moller update, which implements Buchberger's
-coprimality and chain criteria.  Public Groebner bases are reduced,
-monic, and sorted by ascending leading monomial, so equal ideals yield
-identical bases.
+Division and Buchberger's algorithm run on integer polynomials
+(content-free, positive leading coefficient); an exact running
+denominator is tracked so that normal_form still returns the true
+rational remainder.
+
+Inside the engine a monomial is one Python int: each exponent has a
+fixed-width field whose top bit is a guard, so a product is one add and
+divisibility is one subtract and mask (Monagan-Pearce packed exponent
+vectors).  The field width comes from the input's exponents; a product
+that reaches a guard bit aborts the run, which restarts with fields
+twice as wide, so exponents never wrap.  The order key of a monomial is
+one int too, a linear function of the exponents whose per-variable
+weights are derived from MonomialOrder, so keys also add and compare
+like MonomialOrder.key.  Polynomials outside the engine keep their
+exponent tuples: they are packed on entry and unpacked on output.
+
+The S-pair queue is a heap ordered by (lcm total degree, lcm order key,
+i, j), the normal selection strategy, and the Gebauer-Moller update
+implements Buchberger's coprimality and chain criteria.  Public Groebner
+bases are reduced, monic, and sorted by ascending leading monomial, so
+equal ideals yield identical bases.
 
 Saturation I : v^infinity is computed by the auxiliary-variable method:
 adjoin t, add 1 - t*v, eliminate t.  Ideal intersection uses t*I and
@@ -19,9 +31,9 @@ standard monomials of an initial ideal or from exact matrix ranks.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, le, lshift, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .arith import Rational, _strip_content, matrix_rank
@@ -38,148 +50,262 @@ from .poly import (
 Progress = Callable[[int, int, int], None]
 
 
-# -- integer polynomial engine ------------------------------------------
+# -- packed integer polynomial engine --------------------------------------
+
+
+class _Overflow(Exception):
+    """An exponent outgrew its packed field."""
+
+
+class _Packer:
+    """Exponent tuples of one ring packed into ints, with int order keys.
+
+    Exponent v sits in bits [v*width, (v+1)*width).  The top bit of every
+    field is a guard that is 0 in every valid monomial, so a product is
+    one add, d divides m iff (m - d) & guard == 0, and a product with a
+    guard bit set has overflowed.  The order key of a monomial is the dot
+    product of its exponents with one int weight per variable: the
+    weight is MonomialOrder's key tuple of that variable read as digits
+    in a radix big enough that comparing ints compares the tuples.
+    """
+
+    __slots__ = ("width", "guard", "mask", "shifts", "weights")
+
+    def __init__(self, order: MonomialOrder, width: int) -> None:
+        nv = order.ring.nvars
+        self.width = width
+        self.shifts = tuple(range(0, nv * width, width))
+        self.mask = (1 << (width - 1)) - 1
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        # a key digit is a signed sum of at most nv exponents, each at
+        # most mask, so its absolute value stays below half the radix
+        bits = width + nv.bit_length()
+        units = [order._compute_key(tuple(int(u == v) for u in range(nv)))
+                 for v in range(nv)]
+        top = len(units[0]) - 1
+        self.weights = tuple(sum(d << (bits * (top - j))
+                                 for j, d in enumerate(unit))
+                             for unit in units)
+
+    def pack(self, mono: Monomial) -> int:
+        if max(mono, default=0) > self.mask:
+            raise _Overflow
+        return sum(map(lshift, mono, self.shifts))
+
+    def unpack(self, m: int) -> Monomial:
+        mask = self.mask
+        return tuple(m >> s & mask for s in self.shifts)
+
+    def key(self, mono: Monomial) -> int:
+        return sum(map(mul, mono, self.weights))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Componentwise maximum of two packed monomials."""
+        ge = ((a | self.guard) - b) & self.guard  # fields where a >= b
+        sel = ge - (ge >> (self.width - 1))
+        return (a & sel) | (b & ~sel)
+
+    def poly(self, p: Polynomial) -> tuple:
+        """(num, monos, scale): num maps the order key of each monomial of
+        scale*p to its integer coefficient, monos maps it to the packed
+        monomial, and scale > 0 is the least common denominator of p."""
+        terms, scale = _int_form(p)
+        num: dict = {}
+        monos: dict = {}
+        for mono, c in terms.items():
+            k = self.key(mono)
+            num[k] = c
+            monos[k] = self.pack(mono)
+        return num, monos, scale
+
+    def gen(self, num: dict, monos: dict) -> "_Gen":
+        """Basis element with the terms num (keys into monos)."""
+        lk = max(num)
+        lm = monos[lk]
+        tail = [(monos[k], k, c) for k, c in num.items() if k != lk]
+        top = lm
+        for m, _, _ in tail:
+            top = self.lcm(top, m)
+        return _Gen(lm, lk, num[lk], tail, top)
+
+    def polynomial(self, ring: RingSpec, num: dict, monos: dict,
+                   den: int) -> Polynomial:
+        """The Polynomial sum of num[k]/den * monos[k]."""
+        unpack = self.unpack
+        return Polynomial(ring, {unpack(monos[k]): Rational(c, den)
+                                 for k, c in num.items()})
+
+
+def _width(polys: Iterable[Polynomial]) -> int:
+    """Field width with room for twice the largest exponent in polys."""
+    top = max((e for p in polys for m in p.terms for e in m), default=0)
+    return max(8, (2 * top).bit_length() + 1)
 
 
 class _Gen:
-    """Basis element in integer form: content-free, positive lead."""
+    """Basis element: packed leading monomial lm with order key lk and
+    coefficient lc, tail terms (monomial, key, coefficient), and top, the
+    componentwise maximum of all its monomials (a shift s keeps every
+    product in range iff top + s has no guard bit set)."""
 
-    __slots__ = ("terms", "lm", "lc", "tail")
+    __slots__ = ("lm", "lk", "lc", "tail", "top")
 
-    def __init__(self, terms: dict, order: MonomialOrder) -> None:
-        self.terms = terms
-        self.lm = max(terms, key=order.key)
-        self.lc = terms[self.lm]
-        self.tail = [(m, c) for m, c in terms.items() if m != self.lm]
+    def __init__(self, lm: int, lk: int, lc: int, tail: list,
+                 top: int) -> None:
+        self.lm = lm
+        self.lk = lk
+        self.lc = lc
+        self.tail = tail
+        self.top = top
 
 
-def _int_form(p: Polynomial) -> dict:
-    """Clear denominators: integer dict equal to p up to a positive scalar."""
+def _int_form(p: Polynomial) -> tuple:
+    """(terms, scale): the integer dict of scale*p, where scale > 0 is
+    the least common denominator of p's coefficients."""
     scale = 1
     for c in p.terms.values():
         scale = lcm(scale, c.den)
-    return {m: c.num * (scale // c.den) for m, c in p.terms.items()}
+    return {m: c.num * (scale // c.den) for m, c in p.terms.items()}, scale
 
 
-def _normalized_gen(terms: dict, order: MonomialOrder) -> _Gen:
-    _strip_content(terms)
-    g = _Gen(terms, order)
-    if g.lc < 0:
-        flipped = {m: -c for m, c in terms.items()}
-        g = _Gen(flipped, order)
-    return g
+def _normalized_gen(num: dict, monos: dict, packer: _Packer) -> _Gen:
+    """Content-free basis element with a positive leading coefficient."""
+    _strip_content(num)
+    if num[max(num)] < 0:
+        for k in num:
+            num[k] = -num[k]
+    return packer.gen(num, monos)
 
 
-def _reduce(num: dict, order: MonomialOrder, gens: Sequence[_Gen],
-            den: int = 1) -> tuple:
+def _reduce(num: dict, monos: dict, gens: Sequence[_Gen], guard: int,
+            first: dict, den: int = 1) -> tuple:
     """Fully reduce the integer polynomial `num` (consumed) modulo gens.
 
-    Returns (remainder, den): remainder/den is the exact rational
-    remainder of the input num/den.  No term of the remainder is
-    divisible by any generator's leading monomial.  Deterministic: the
-    largest unprocessed monomial is cancelled against the first
-    generator (in list order) whose lead divides it.
+    num maps order keys to coefficients and monos maps them to packed
+    monomials; monos gains the monomials of every term created.  Returns
+    (remainder, den): remainder/den is the exact rational remainder of
+    the input num/den.  No term of the remainder is divisible by any
+    generator's leading monomial.  Deterministic: the largest
+    unprocessed monomial is cancelled against the first generator (in
+    list order) whose lead divides it.  Raises _Overflow when a product
+    would leave its packed fields.
+
+    first maps a monomial m to an index i such that no lead in gens[:i]
+    divides m, and gens[i] is the first divisor if i < len(gens).  The
+    caller may share it between calls as long as gens only grows at the
+    end, as Buchberger's basis does.
     """
-    key = order.key
-    negkeys: dict = {}
-    heap: list = []
-    for m in num:
-        nk = tuple(-x for x in key(m))
-        negkeys[m] = nk
-        heappush(heap, (nk, m))
+    heap = [-k for k in num]
+    heapify(heap)
+    n = len(gens)
     out: dict = {}
     while heap:
-        _, mono = heappop(heap)
-        c = num.pop(mono, 0)
+        k = -heappop(heap)
+        c = num.pop(k)
         if not c:
             continue
-        red = None
-        for g in gens:
-            if all(map(le, g.lm, mono)):
-                red = g
-                break
-        if red is None:
-            out[mono] = c
+        mono = monos[k]
+        i = first.get(mono, 0)
+        while i < n and (mono - gens[i].lm) & guard:
+            i += 1
+        first[mono] = i
+        if i == n:
+            out[k] = c
             continue
+        red = gens[i]
         g0 = gcd(c, red.lc)
         mult = red.lc // g0
         cc = c // g0
         if mult != 1:
-            for k in num:
-                num[k] *= mult
-            for k in out:
-                out[k] *= mult
+            for t in num:
+                num[t] *= mult
+            for t in out:
+                out[t] *= mult
             den *= mult
-        shift = tuple(map(sub, mono, red.lm))
-        for m2, c2 in red.tail:
-            mm = tuple(map(add, m2, shift))
-            cur = num.get(mm)
+        shift = mono - red.lm
+        if (red.top + shift) & guard:
+            raise _Overflow
+        kshift = k - red.lk
+        # a cancelled term keeps its key (with coefficient 0) in num, so
+        # every key of num is on the heap exactly once
+        for m2, k2, c2 in red.tail:
+            kk = k2 + kshift
+            cur = num.get(kk)
             if cur is None:
-                num[mm] = -cc * c2
-                nk = negkeys.get(mm)
-                if nk is None:
-                    nk = tuple(-x for x in key(mm))
-                    negkeys[mm] = nk
-                heappush(heap, (nk, mm))
+                num[kk] = -cc * c2
+                monos[kk] = m2 + shift
+                heappush(heap, -kk)
             else:
-                cur -= cc * c2
-                if cur:
-                    num[mm] = cur
-                else:
-                    del num[mm]
+                num[kk] = cur - cc * c2
     return out, den
 
 
-def _spoly(gi: _Gen, gj: _Gen) -> dict:
-    """Integer S-polynomial (lead terms cancel exactly)."""
-    lcm_m = tuple(map(max, gi.lm, gj.lm))
-    si = tuple(map(sub, lcm_m, gi.lm))
-    sj = tuple(map(sub, lcm_m, gj.lm))
+def _spoly(gi: _Gen, gj: _Gen, l: int, kl: int, guard: int) -> tuple:
+    """Integer S-polynomial of gi and gj, whose leads have lcm l with
+    order key kl, as (num, monos); the lead terms cancel and are left
+    out."""
+    si = l - gi.lm
+    sj = l - gj.lm
+    if (gi.top + si) & guard or (gj.top + sj) & guard:
+        raise _Overflow
+    ki = kl - gi.lk
+    kj = kl - gj.lk
     g0 = gcd(gi.lc, gj.lc)
     ci = gj.lc // g0
     cj = gi.lc // g0
     num: dict = {}
-    for m, c in gi.terms.items():
-        num[tuple(map(add, m, si))] = ci * c
-    for m, c in gj.terms.items():
-        mm = tuple(map(add, m, sj))
-        cur = num.get(mm, 0) - cj * c
+    monos: dict = {}
+    for m, k, c in gi.tail:
+        k += ki
+        num[k] = ci * c
+        monos[k] = m + si
+    for m, k, c in gj.tail:
+        k += kj
+        cur = num.get(k, 0) - cj * c
         if cur:
-            num[mm] = cur
+            num[k] = cur
+            monos[k] = m + sj
         else:
-            num.pop(mm, None)
-    return num
+            num.pop(k, None)
+    return num, monos
 
 
-def _update(G: list, P: list, h: _Gen, order: MonomialOrder) -> None:
-    """Gebauer-Moller pair update: append h to G, prune and extend P.
+def _update(G: list, P: list, h: _Gen, packer: _Packer) -> None:
+    """Gebauer-Moller pair update: append h to G, prune and extend the
+    heap P of pairs (lcm degree, lcm key, i, j, lcm).
 
     Prunes old pairs by the chain criterion, groups the new pairs by
     lcm, keeps only minimal lcms with one representative each, and drops
     whole groups containing a coprime-lead pair (product criterion).
     """
-    key = order.key
+    guard = packer.guard
     t = len(G)
     lmh = h.lm
-    kept = []
-    for entry in P:
-        i, j, l = entry[2], entry[3], entry[4]
-        if (not all(map(le, lmh, l))
-                or tuple(map(max, G[i].lm, lmh)) == l
-                or tuple(map(max, G[j].lm, lmh)) == l):
-            kept.append(entry)
-    P[:] = kept
+    L = [packer.lcm(g.lm, lmh) for g in G]
+    kept = [e for e in P
+            if (e[4] - lmh) & guard or L[e[2]] == e[4] or L[e[3]] == e[4]]
     groups: dict = {}
-    for i in range(t):
-        groups.setdefault(tuple(map(max, G[i].lm, lmh)), []).append(i)
-    lcms = list(groups)
-    survivors = [l for l in lcms
-                 if not any(l2 != l and all(map(le, l2, l)) for l2 in lcms)]
-    for l in sorted(survivors, key=lambda m: (key(m), m)):
+    for i, l in enumerate(L):
+        groups.setdefault(l, []).append(i)
+    # a proper divisor of a packed monomial is a smaller int, and a
+    # divisor that is not minimal has a minimal divisor of its own
+    minimal: list = []
+    for l in sorted(groups):
+        for s in minimal:
+            if not (l - s) & guard:
+                break
+        else:
+            minimal.append(l)
+    weights = packer.weights
+    for l in minimal:
         members = groups[l]
-        if any(tuple(map(add, G[i].lm, lmh)) == l for i in members):
+        if any(l == G[i].lm + lmh for i in members):
             continue
-        P.append((sum(l), key(l), min(members), t, l))
+        exps = packer.unpack(l)
+        kept.append((sum(exps), sum(map(mul, exps, weights)),
+                     members[0], t, l))
+    heapify(kept)
+    P[:] = kept
     G.append(h)
 
 
@@ -189,6 +315,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
 
     Output is sorted by ascending leading monomial, so it is a canonical
     form: two generating sets of the same ideal give the same list.
+    progress(S-pairs processed, pairs queued, basis size) is called every
+    100 S-pairs and once at the end with 0 queued; a run that restarts
+    with wider exponent fields reports again from the start.
     """
     polys = [p for p in gens if p.terms]
     if not polys:
@@ -197,49 +326,61 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     for p in polys:
         if p.ring != ring or order.ring != ring:
             raise ValueError("generators and order must share one ring")
+    width = _width(polys)
+    while True:
+        try:
+            return _buchberger(polys, _Packer(order, width), progress)
+        except _Overflow:
+            width *= 2
 
+
+def _buchberger(polys: list, packer: _Packer,
+                progress: Progress | None) -> list:
+    guard = packer.guard
     G: list = []
     P: list = []
+    first: dict = {}
     for p in polys:
-        r, _ = _reduce(_int_form(p), order, G)
+        num, monos, _ = packer.poly(p)
+        r, _ = _reduce(num, monos, G, guard, first)
         if r:
-            _update(G, P, _normalized_gen(r, order), order)
+            _update(G, P, _normalized_gen(r, monos, packer), packer)
 
     done = 0
     while P:
-        idx = min(range(len(P)), key=P.__getitem__)
-        _, _, i, j, _ = P.pop(idx)
-        r, _ = _reduce(_spoly(G[i], G[j]), order, G)
+        _, kl, i, j, l = heappop(P)
+        num, monos = _spoly(G[i], G[j], l, kl, guard)
+        r, _ = _reduce(num, monos, G, guard, first)
         done += 1
         if r:
-            _update(G, P, _normalized_gen(r, order), order)
+            _update(G, P, _normalized_gen(r, monos, packer), packer)
         if progress is not None and done % 100 == 0:
             progress(done, len(P), len(G))
     if progress is not None:
         progress(done, 0, len(G))
 
-    return _reduced_basis(G, order, ring)
+    return _reduced_basis(G, packer, polys[0].ring)
 
 
-def _reduced_basis(G: Sequence[_Gen], order: MonomialOrder,
+def _reduced_basis(G: Sequence[_Gen], packer: _Packer,
                    ring: RingSpec) -> list:
     """Minimalize, tail-reduce, and make monic; sort by leading monomial."""
-    by_key = sorted(range(len(G)), key=lambda i: (order.key(G[i].lm), i))
+    guard = packer.guard
     kept: list = []
-    kept_lms: list = []
-    for i in by_key:
-        lm = G[i].lm
-        if any(all(map(le, l, lm)) for l in kept_lms):
-            continue
-        kept.append(G[i])
-        kept_lms.append(lm)
+    for g in sorted(G, key=lambda g: g.lk):
+        if all((g.lm - f.lm) & guard for f in kept):
+            kept.append(g)
     out = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        r, _ = _reduce(dict(g.terms), order, others)
-        lead = r[max(r, key=order.key)]
-        out.append(Polynomial(ring, {m: Rational(c, lead) for m, c in r.items()}))
-    out.sort(key=lambda p: order.key(p.leading_monomial(order)))
+        num = {g.lk: g.lc}
+        monos = {g.lk: g.lm}
+        for m, k, c in g.tail:
+            num[k] = c
+            monos[k] = m
+        r, _ = _reduce(num, monos, others, guard, {})
+        # the lead is divisible by no other lead, so it survives
+        out.append(packer.polynomial(ring, r, monos, r[g.lk]))
     return out
 
 
@@ -265,10 +406,9 @@ class Ideal:
         if cached is None:
             cached = tuple(buchberger(self.gens, order, progress))
             # sanity: every original generator must reduce to zero
-            for g in self.gens:
-                if g.terms and normal_form(g, cached, order).terms:
-                    raise AssertionError("generator does not reduce to zero "
-                                         "against its own Groebner basis")
+            if any(r.terms for r in _remainders(self.gens, cached, order)):
+                raise AssertionError("generator does not reduce to zero "
+                                     "against its own Groebner basis")
             self._gb[order] = cached
         return cached
 
@@ -285,13 +425,28 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
                 order: MonomialOrder) -> Polynomial:
     """Remainder of f on division by basis (deterministic: first divisor
     in list order wins).  Exact: returns the textbook rational remainder."""
-    scale = 1
-    for c in f.terms.values():
-        scale = lcm(scale, c.den)
-    num = {m: c.num * (scale // c.den) for m, c in f.terms.items()}
-    gens = [_Gen(_int_form(g), order) for g in basis if g.terms]
-    out, den = _reduce(num, order, gens, scale)
-    return Polynomial(f.ring, {m: Rational(c, den) for m, c in out.items()})
+    return _remainders([f], basis, order)[0]
+
+
+def _remainders(fs: Sequence[Polynomial], basis: Sequence[Polynomial],
+                order: MonomialOrder) -> list:
+    """normal_form of each f in fs, packing the basis once."""
+    polys = [g for g in basis if g.terms]
+    width = _width(list(fs) + polys)
+    while True:
+        packer = _Packer(order, width)
+        try:
+            gens = [packer.gen(*packer.poly(g)[:2]) for g in polys]
+            first: dict = {}
+            out = []
+            for f in fs:
+                num, monos, scale = packer.poly(f)
+                r, den = _reduce(num, monos, gens, packer.guard, first,
+                                 scale)
+                out.append(packer.polynomial(f.ring, r, monos, den))
+            return out
+        except _Overflow:
+            width *= 2
 
 
 def spolynomial(f: Polynomial, g: Polynomial,
@@ -535,6 +690,25 @@ def hilbert_degree(I: Ideal, order: MonomialOrder | None = None) -> tuple:
     return codim, sum(N)
 
 
+def _count_in(M: MonomialIdeal, D: tuple) -> int:
+    """Number of monomials of multidegree D inside M.  Only generators
+    of multidegree <= D componentwise (and free of aux variables) can
+    divide one of them."""
+    ring = M.ring
+    nv = len(ring.names)
+    packer = _Packer(grevlex_order(ring), max(D, default=0).bit_length() + 1)
+    guard = packer.guard
+    gens = [packer.pack(g) for g in M.gens
+            if all(map(le, ring.multidegree(g), D)) and not any(g[nv:])]
+    count = 0
+    for m in map(packer.pack, monomials_of_multidegree(ring, D)):
+        for g in gens:
+            if not (m - g) & guard:
+                count += 1
+                break
+    return count
+
+
 def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
                    D: tuple, skip_unit: bool) -> list:
     """Rows {column: int} of the products monomial * p (monomial != 1 if
@@ -551,7 +725,7 @@ def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
         rem = tuple(map(sub, D, p.multidegree()))
         if any(d < 0 for d in rem) or (skip_unit and not any(rem)):
             continue
-        terms = _int_form(p).items()
+        terms = _int_form(p)[0].items()
         for m in monomials_of_multidegree(ring, rem):
             rows.append({cols[tuple(map(add, mono, m))]: c
                          for mono, c in terms})
@@ -571,9 +745,7 @@ def graded_piece_dim(I: Ideal, degree: Sequence[int],
     degree = tuple(degree)
     ring = I.ring
     if method == "standard":
-        M = initial_ideal(I)
-        return sum(1 for m in monomials_of_multidegree(ring, degree)
-                   if M.contains(m))
+        return _count_in(initial_ideal(I), degree)
     if method != "rank":
         raise ValueError(f"unknown method {method!r}")
     rows = _macaulay_rows(I.gens, ring, degree, skip_unit=False)
@@ -596,8 +768,7 @@ def min_gens_by_total_degree(I: Ideal) -> dict:
     M = initial_ideal(I)
     out: dict = {}
     for D in degrees:
-        dim_full = sum(1 for m in monomials_of_multidegree(ring, D)
-                       if M.contains(m))
+        dim_full = _count_in(M, D)
         rows = _macaulay_rows(gb, ring, D, skip_unit=True)
         lower = matrix_rank(rows) if rows else 0
         count = dim_full - lower

@@ -57,7 +57,7 @@ def _block_var(ring: RingSpec, block: int, j: int) -> Polynomial:
 def _canonical_sign(p: Polynomial) -> Polynomial:
     """Scale to integer, content-free coefficients with a positive
     lex-leading coefficient."""
-    terms = _int_form(p)
+    terms, _ = _int_form(p)
     _strip_content(terms)
     sign = -1 if terms[p.leading_monomial(lex_order(p.ring))] < 0 else 1
     return Polynomial(p.ring, {m: Rational(sign * c) for m, c in terms.items()})

@@ -1,11 +1,29 @@
 """Command-line interface tests: output formats, exit codes,
 determinism of standard output for fixed flags and seed."""
 
+import hashlib
+
 import pytest
 
 from m0nbar.cli import main
 from m0nbar.moduli import cubic_generators, quartic_equations
 from m0nbar.poly import moduli_ring, parse_polynomial
+
+
+# sha256 of the full stdout of two saturate runs: a change to the
+# Groebner engine must keep the printed bases and invariants byte for byte
+SATURATE_7_SHA256 = (
+    "80ba43a1e51d6f6d4ef4578a40e654aae34d338df2c9fed8a3ae7a3c639e4953")
+SATURATE_6_GREVLEX_SHA256 = (
+    "903683d866ac6b8e7c15ee917d1bb8238dfdff41f92dab4cc50d17be95a673e4")
+# the 140 progress lines of saturate 7 on stderr; their queued counts
+# must be live pairs only
+SATURATE_7_PROGRESS_SHA256 = (
+    "9135537562bffecbd860590ae65d35656de13034112ffac04c77e1b401ca291d")
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run(capsys, *argv):
@@ -81,6 +99,7 @@ def test_saturate_n6_grevlex(capsys):
     assert "codim 3" in lines
     assert "degree 15" in lines
     assert "lex initial ideal square-free: yes" in lines
+    assert sha256(out) == SATURATE_6_GREVLEX_SHA256
 
 
 def test_verify_n5_passes(capsys):
@@ -156,4 +175,7 @@ def test_saturate_n7_reports_progress(capsys):
     assert "codim 6" in lines
     assert "degree 105" in lines
     assert "lex initial ideal square-free: yes" in lines
-    assert "S-pairs:" in err
+    assert sha256(out) == SATURATE_7_SHA256
+    progress = [l for l in err.splitlines() if l.startswith("S-pairs:")]
+    assert len(progress) == 140
+    assert sha256("\n".join(progress)) == SATURATE_7_PROGRESS_SHA256

@@ -25,9 +25,13 @@ from m0nbar.ideal import (
     normal_form,
     saturate_by_block,
     saturate_by_variable,
+    saturation_pipeline,
     spolynomial,
 )
+from m0nbar.ideal import _Overflow, _Packer
 from m0nbar.poly import (
+    aux_elimination_order,
+    elimination_order,
     grevlex_order,
     lex_order,
     moduli_ring,
@@ -103,6 +107,68 @@ def test_normal_form_divisor_order_is_deterministic():
     assert r1 == P(XY, "2") and r2 == P(XY, "2")
 
 
+def test_normal_form_exponent_past_16_bits():
+    # x^k modulo x - y^2 is y^(2k): lex reduction doubles the exponent,
+    # so products must be checked against the field width, not wrapped
+    order = lex_order(XY)
+    r = normal_form(P(XY, "x^20000"), [P(XY, "x - y^2")], order)
+    assert r == P(XY, "y^40000")
+
+
+def test_exponent_overflow_widens_fields():
+    # both results need far more bits than their inputs suggest
+    order = lex_order(XY)
+    r = normal_form(P(XY, "x^200"), [P(XY, "x - y^64")], order)
+    assert r == P(XY, "y^12800")
+    gb = buchberger([P(XY, "x - y^50"), P(XY, "x^9")], order)
+    assert [str(g) for g in gb] == ["y^450", "x - y^50"]
+    # here an S-polynomial is the first product past the field width
+    gb = buchberger([P(XYZ, "x^40*z + x^2*z^2"),
+                     P(XYZ, "x^3*y^2*z^5 - 2*z")], lex_order(XYZ))
+    assert [str(g) for g in gb] == ["y^76*z^156 + 274877906944*z",
+                                    "x*z - 1/33554432*y^50*z^103"]
+
+
+def test_packed_monomials():
+    packer = _Packer(lex_order(XYZ), 8)
+    a, b = (3, 0, 127), (5, 2, 1)
+    pa, pb = packer.pack(a), packer.pack(b)
+    assert packer.unpack(pa) == a and packer.unpack(pb) == b
+    assert packer.unpack(packer.lcm(pa, pb)) == (5, 2, 127)
+    # divisibility is a masked subtract
+    assert not (packer.pack((5, 2, 127)) - pa) & packer.guard
+    assert (pb - pa) & packer.guard and (pa - pb) & packer.guard
+    # a product that leaves the field shows up in the guard bits
+    assert (pa + pb) & packer.guard
+    with pytest.raises(_Overflow):
+        packer.pack((128, 0, 0))
+
+
+@pytest.mark.parametrize("make_order", [
+    lex_order,
+    grevlex_order,
+    lambda ring: elimination_order(ring, [2]),
+    lambda ring: aux_elimination_order(ring.extended()),
+])
+def test_int_keys_order_like_tuple_keys(make_order):
+    order = make_order(XYZ)
+    nv = order.ring.nvars
+    packer = _Packer(order, 32)
+    top = packer.mask
+    shapes = [(top, 0, 0), (0, top, 0), (0, 0, top), (top, top, top),
+              (40000, 1, 0), (40000, 0, 1), (39999, 2, 0), (1, 1, 40000),
+              (0, 40001, 0), (top - 1, top, 1), (0, 0, 0), (1, 0, 0)]
+    monos = [m + (0,) * (nv - 3) for m in shapes]
+    if nv > 3:
+        monos += [(0, 0, 0) + (top,) * (nv - 3), (top, 0, 0) + (1,) * (nv - 3)]
+    by_tuple = sorted(monos, key=order.key)
+    assert sorted(monos, key=packer.key) == by_tuple
+    for m in monos:
+        for n in monos:
+            assert packer.key(m) + packer.key(n) == packer.key(
+                tuple(map(sum, zip(m, n))))
+
+
 def test_contains_and_equal():
     I = Ideal(XY, [P(XY, "x*y - 1"), P(XY, "y^2 - 1")])
     assert contains(I, P(XY, "x - y"))
@@ -171,6 +237,21 @@ def test_saturate_by_block():
     # saturating by c0 divides it out of both generators
     T = saturate_by_block(I, 1)
     assert equal_ideals(T, Ideal(ring, [P(ring, "a0"), P(ring, "a1")]))
+
+
+def test_saturation_pipeline_progress_n6():
+    # every Buchberger run of the n = 6 pipeline reports once, at its
+    # end: (S-pairs processed, 0 queued, basis size before
+    # interreduction); the benchmark reads its per-run counts from here
+    calls = []
+    saturation_pipeline(6, lambda *args: calls.append(args))
+    assert calls == [
+        (54, 0, 17), (49, 0, 16), (56, 0, 20), (56, 0, 19), (43, 0, 15),
+        (30, 0, 12), (29, 0, 14), (29, 0, 14), (31, 0, 13), (31, 0, 13),
+        (28, 0, 12), (11, 0, 8), (29, 0, 14), (29, 0, 14), (29, 0, 14)]
+    assert len(calls) == 15
+    assert sum(c[0] for c in calls) == 534
+    assert sum(c[2] for c in calls) == 215
 
 
 # -- monomial ideals and invariants ----------------------------------------
