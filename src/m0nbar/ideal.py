@@ -22,19 +22,21 @@ implements Buchberger's coprimality and chain criteria.  Public Groebner
 bases are reduced, monic, and sorted by ascending leading monomial, so
 equal ideals yield identical bases.
 
-Saturation I : v^infinity is computed by the auxiliary-variable method:
-adjoin t, add 1 - t*v, eliminate t.  Ideal intersection uses t*I and
-(1-t)*J the same way.  Graded invariants (piece dimensions, minimal
-generator counts, Hilbert codimension and degree) come either from
-standard monomials of an initial ideal or from exact matrix ranks.
+Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
+with v as the smallest variable, whose basis elements are then divided
+by their largest powers of v (Bayer-Stillman).  Ideal intersection
+adjoins an auxiliary variable t and eliminates it from t*I + (1-t)*J.
+Graded invariants (piece dimensions, minimal generator counts, Hilbert
+codimension and degree) come either from standard monomials of an
+initial ideal or from exact matrix ranks.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, lshift, mul, sub
-from typing import Callable, Iterable, Sequence
+from operator import le, lshift, mul, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arith import Rational, _strip_content, matrix_rank
 from .poly import (
@@ -494,21 +496,35 @@ def _eliminate_aux(gb: Iterable[Polynomial], base: RingSpec,
 
 def saturate_by_variable(I: Ideal, var: str | int,
                          progress: Progress | None = None) -> Ideal:
-    """I : v^infinity via the auxiliary variable t and 1 - t*v."""
+    """I : v^infinity for an ideal I homogeneous in total degree.
+
+    One grevlex run with v as the smallest variable (Bayer-Stillman):
+    v divides a homogeneous element iff it divides its leading monomial,
+    so dividing every basis element by its largest power of v gives a
+    basis of I : v^infinity.  Returns I itself when no basis element is
+    divisible by v (v is then a nonzerodivisor mod I); otherwise a new
+    ideal whose generators are its reduced grevlex basis.  Raises
+    ValueError on a generator that is not homogeneous.
+    """
     ring = I.ring
     if ring.aux_names:
         raise ValueError("saturation needs a ring without aux variables")
+    if any(len({sum(m) for m in g.terms}) > 1 for g in I.gens):
+        raise ValueError("saturation by a variable needs generators "
+                         "homogeneous in total degree")
+    if not any(g.terms for g in I.gens):
+        return I
     idx = ring.index(var) if isinstance(var, str) else var
-    ext = ring.extended()
-    t = ext.var_by_index(ext.nvars - 1)
-    v = ext.var_by_index(idx)
-    gens = [g.map_to_ring(ext) for g in I.gens]
-    gens.append(ext.one() - t * v)
-    order = aux_elimination_order(ext)
-    gb = buchberger(gens, order, progress)
-    kept = _eliminate_aux(gb, ring, ext)
-    # the aux-free elements are already the reduced grevlex basis
-    return Ideal(ring, kept).with_cached_basis(grevlex_order(ring), kept)
+    perm = [i for i in range(ring.nvars) if i != idx] + [idx]
+    gb = buchberger(I.gens, MonomialOrder(ring, "grevlex", perm), progress)
+    powers = [min(m[idx] for m in g.terms) for g in gb]
+    if not any(powers):
+        return I
+    divided = [Polynomial(ring, {m[:idx] + (m[idx] - k,) + m[idx + 1:]: c
+                                 for m, c in g.terms.items()})
+               for g, k in zip(gb, powers)]
+    basis = buchberger(divided, grevlex_order(ring), progress)
+    return Ideal(ring, basis).with_cached_basis(grevlex_order(ring), basis)
 
 
 def intersect(I: Ideal, J: Ideal,
@@ -532,10 +548,18 @@ def intersect(I: Ideal, J: Ideal,
 
 def saturate_by_block(I: Ideal, block: int,
                       progress: Progress | None = None) -> Ideal:
-    """Saturate by the irrelevant ideal of one block: the intersection
-    of the single-variable saturations over the block's variables."""
+    """Saturate a homogeneous I by the irrelevant ideal B of one block:
+    the intersection of the single-variable saturations over the block's
+    variables, taken in ring order.  As soon as one of them is I itself,
+    returns I with no intersection: I <= I : B^infinity <= I : x^infinity
+    for every x in B."""
     start, stop = I.ring.block_slices()[block]
-    parts = [saturate_by_variable(I, v, progress) for v in range(start, stop)]
+    parts = []
+    for v in range(start, stop):
+        part = saturate_by_variable(I, v, progress)
+        if part is I:
+            return I
+        parts.append(part)
     result = parts[0]
     for p in parts[1:]:
         result = intersect(result, p, progress)
@@ -710,26 +734,37 @@ def _count_in(M: MonomialIdeal, D: tuple) -> int:
 
 
 def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
-                   D: tuple, skip_unit: bool) -> list:
-    """Rows {column: int} of the products monomial * p (monomial != 1 if
-    skip_unit) in multidegree D, p's coefficients with denominators
-    cleared.  Column i is the i-th monomial of degree D in ascending
-    order, so matrix_rank pivots on lex-smallest monomials: on the n = 8
-    matrices that has 35-45% less fill-in than pivoting on lex-largest."""
-    monos = sorted(monomials_of_multidegree(ring, D))
-    cols = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for p in polys:
-        if not p.terms:
-            continue
-        rem = tuple(map(sub, D, p.multidegree()))
-        if any(d < 0 for d in rem) or (skip_unit and not any(rem)):
-            continue
-        terms = _int_form(p)[0].items()
-        for m in monomials_of_multidegree(ring, rem):
-            rows.append({cols[tuple(map(add, mono, m))]: c
-                         for mono, c in terms})
-    return rows
+                   degrees: Sequence[tuple], skip_unit: bool) -> Iterator:
+    """For each multidegree D of degrees in turn, the rows {column: int}
+    of the products monomial * p (monomial != 1 if skip_unit) in D, p's
+    coefficients with denominators cleared.  Column i is the i-th
+    monomial of degree D in ascending order, so matrix_rank pivots on
+    lex-smallest monomials: on the n = 8 matrices that has 35-45% less
+    fill-in than pivoting on lex-largest.  Monomials are packed, so a
+    product is one add and its column one dict lookup."""
+    gens = [(p.multidegree(), _int_form(p)[0]) for p in polys if p.terms]
+    # no exponent exceeds a block degree of some D or of some p
+    top = max([d for D in degrees for d in D]
+              + [d for deg, _ in gens for d in deg], default=0)
+    pack = _Packer(grevlex_order(ring), top.bit_length() + 1).pack
+    gens = [(deg, [(pack(m), c) for m, c in terms.items()])
+            for deg, terms in gens]
+    for D in degrees:
+        cols = {pack(m): i for i, m
+                in enumerate(sorted(monomials_of_multidegree(ring, D)))}
+        multipliers: dict = {}
+        rows = []
+        for deg, terms in gens:
+            rem = tuple(map(sub, D, deg))
+            if any(d < 0 for d in rem) or (skip_unit and not any(rem)):
+                continue
+            ms = multipliers.get(rem)
+            if ms is None:
+                ms = [pack(m) for m in monomials_of_multidegree(ring, rem)]
+                multipliers[rem] = ms
+            for m in ms:
+                rows.append({cols[t + m]: c for t, c in terms})
+        yield rows
 
 
 def graded_piece_dim(I: Ideal, degree: Sequence[int],
@@ -748,7 +783,7 @@ def graded_piece_dim(I: Ideal, degree: Sequence[int],
         return _count_in(initial_ideal(I), degree)
     if method != "rank":
         raise ValueError(f"unknown method {method!r}")
-    rows = _macaulay_rows(I.gens, ring, degree, skip_unit=False)
+    (rows,) = _macaulay_rows(I.gens, ring, [degree], skip_unit=False)
     if not rows:
         return 0
     return matrix_rank(rows)
@@ -767,9 +802,9 @@ def min_gens_by_total_degree(I: Ideal) -> dict:
     degrees = sorted({g.multidegree() for g in gb})
     M = initial_ideal(I)
     out: dict = {}
-    for D in degrees:
+    all_rows = _macaulay_rows(gb, ring, degrees, skip_unit=True)
+    for D, rows in zip(degrees, all_rows):
         dim_full = _count_in(M, D)
-        rows = _macaulay_rows(gb, ring, D, skip_unit=True)
         lower = matrix_rank(rows) if rows else 0
         count = dim_full - lower
         if count:

@@ -6,6 +6,8 @@ Hilbert numerators, and textbook identities for saturation and
 intersection of monomial ideals.
 """
 
+import random
+
 import pytest
 
 from m0nbar.arith import rat
@@ -30,6 +32,7 @@ from m0nbar.ideal import (
 )
 from m0nbar.ideal import _Overflow, _Packer
 from m0nbar.poly import (
+    Polynomial,
     aux_elimination_order,
     elimination_order,
     grevlex_order,
@@ -207,6 +210,8 @@ def test_saturate_unit_ideal():
     # and an ideal containing a power of the variable saturates to <1>
     J = Ideal(XYZ, [P(XYZ, "x^3")])
     assert sat_strings(J, "x") == ["1"]
+    # the zero ideal is its own saturation
+    assert sat_strings(Ideal(XYZ, []), "x") == []
 
 
 def test_saturation_is_idempotent_and_grows():
@@ -239,19 +244,105 @@ def test_saturate_by_block():
     assert equal_ideals(T, Ideal(ring, [P(ring, "a0"), P(ring, "a1")]))
 
 
+def test_saturation_rejects_inhomogeneous_input():
+    I = Ideal(XYZ, [P(XYZ, "x*y"), P(XYZ, "x^2 + y")])
+    with pytest.raises(ValueError, match="homogeneous") as exc:
+        saturate_by_variable(I, "x")
+    assert "\n" not in str(exc.value)
+    with pytest.raises(ValueError, match="homogeneous"):
+        saturate_by_block(I, 0)
+
+
+def oracle_saturation(I, v):
+    """I : v^infinity by the textbook route, independent of
+    saturate_by_variable: eliminate t from I + <1 - t*v>."""
+    ring = I.ring
+    ext = ring.extended()
+    t = ext.var_by_index(ext.nvars - 1)
+    gens = [g.map_to_ring(ext) for g in I.gens]
+    gens.append(ext.one() - t * ext.var_by_index(v))
+    gb = buchberger(gens, aux_elimination_order(ext))
+    return Ideal(ring, [g.map_to_ring(ring) for g in gb
+                        if all(m[-1] == 0 for m in g.terms)])
+
+
+def random_homogeneous_ideal(rng, ring):
+    """Two or three sparse homogeneous generators of degree 2 or 3, some
+    multiplied by a variable so that variables become zerodivisors."""
+    nv = ring.nvars
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        degree = rng.randint(2, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            mono = [0] * nv
+            for _ in range(degree):
+                mono[rng.randrange(nv)] += 1
+            terms[tuple(mono)] = rat(rng.choice([-3, -2, -1, 1, 2, 3]))
+        g = Polynomial(ring, terms)
+        if g.terms and rng.random() < 0.5:
+            g = ring.var_by_index(rng.randrange(nv)) * g
+        if g.terms:
+            gens.append(g)
+    return Ideal(ring, gens)
+
+
+RANDOM_RINGS = [polynomial_ring(["a0", "a1", "b0"], block_sizes=(2, 1)),
+                polynomial_ring(["a0", "a1", "b0", "b1"], block_sizes=(2, 2)),
+                polynomial_ring(["a0", "a1", "a2", "b0"], block_sizes=(3, 1))]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_saturation_matches_aux_variable_oracle(seed):
+    rng = random.Random(seed)
+    ring = RANDOM_RINGS[seed % len(RANDOM_RINGS)]
+    I = random_homogeneous_ideal(rng, ring)
+    sats = [oracle_saturation(I, v) for v in range(ring.nvars)]
+    for v, want in enumerate(sats):
+        assert equal_ideals(saturate_by_variable(I, v), want)
+    for block, (start, stop) in enumerate(ring.block_slices()):
+        want = sats[start]
+        for other in sats[start + 1:stop]:
+            want = intersect(want, other)
+        assert equal_ideals(saturate_by_block(I, block), want)
+
+
+def test_saturate_by_block_stops_at_a_nonzerodivisor():
+    ring = polynomial_ring(["a0", "a1", "b0", "b1"], block_sizes=(2, 2))
+    # a0 is a nonzerodivisor mod I although a1 is not (I : a1^infinity
+    # = <b0, b1^2>), so I : <a0, a1>^infinity = I with no intersection
+    I = Ideal(ring, [P(ring, "a1*b0"), P(ring, "a1*b1^2 - b0*b1^2")])
+    assert saturate_by_variable(I, "a0") is I
+    assert not equal_ideals(oracle_saturation(I, 1), I)
+    assert saturate_by_block(I, 0) is I
+    want = intersect(oracle_saturation(I, 0), oracle_saturation(I, 1))
+    assert equal_ideals(want, I)
+    # here the first variable a0 is a zerodivisor: J : a0 = <b0>
+    J = Ideal(ring, [P(ring, "a0*b0"), P(ring, "a1*b0")])
+    S = saturate_by_block(J, 0)
+    assert S is not J
+    assert [str(g) for g in S.gens] == ["b0"]
+    want = intersect(oracle_saturation(J, 0), oracle_saturation(J, 1))
+    assert equal_ideals(S, want)
+
+
 def test_saturation_pipeline_progress_n6():
     # every Buchberger run of the n = 6 pipeline reports once, at its
     # end: (S-pairs processed, 0 queued, basis size before
-    # interreduction); the benchmark reads its per-run counts from here
+    # interreduction); the benchmark reads its per-run counts from here.
+    # Blocks a and c stop after one run (their first variable is a
+    # nonzerodivisor); block b takes two runs per variable and two
+    # intersections.
     calls = []
     saturation_pipeline(6, lambda *args: calls.append(args))
     assert calls == [
-        (54, 0, 17), (49, 0, 16), (56, 0, 20), (56, 0, 19), (43, 0, 15),
-        (30, 0, 12), (29, 0, 14), (29, 0, 14), (31, 0, 13), (31, 0, 13),
-        (28, 0, 12), (11, 0, 8), (29, 0, 14), (29, 0, 14), (29, 0, 14)]
-    assert len(calls) == 15
-    assert sum(c[0] for c in calls) == 534
-    assert sum(c[2] for c in calls) == 215
+        (23, 0, 10),
+        (23, 0, 10), (11, 0, 7), (23, 0, 10), (11, 0, 7), (23, 0, 10),
+        (11, 0, 7), (29, 0, 14), (29, 0, 14),
+        (11, 0, 7)]
+    assert len(calls) == 10
+    assert sum(c[0] for c in calls) == 194
+    assert sum(c[2] for c in calls) == 96
 
 
 # -- monomial ideals and invariants ----------------------------------------

@@ -19,6 +19,7 @@ from m0nbar.ideal import (
     graded_piece_dim,
     hilbert_degree,
     min_gens_by_total_degree,
+    saturation_pipeline,
 )
 from m0nbar.moduli import (
     BoundaryDivisor,
@@ -260,6 +261,17 @@ def test_invariants_n7_real_size():
 def test_invariants_n8_match_predictions():
     I = cubic_quartic_ideal(8)
     assert min_gens_by_total_degree(I) == {3: comb(7, 4), 4: comb(7, 5)}
+    assert hilbert_degree(I) == (10, stable_tree_count(8))
+
+
+@pytest.mark.skipif(os.environ.get("M0NBAR_SLOW") != "1",
+                    reason="the n = 8 saturation takes minutes; set M0NBAR_SLOW=1")
+def test_saturation_pipeline_n8_matches_predictions():
+    # the paper's pattern: binomial(n - 1, d + 1) minimal generators of
+    # each degree d, codimension (n - 3)(n - 4)/2, degree (2n - 7)!!
+    I = saturation_pipeline(8)
+    assert min_gens_by_total_degree(I) == {d: comb(7, d + 1)
+                                           for d in range(3, 7)}
     assert hilbert_degree(I) == (10, stable_tree_count(8))
 
 
