@@ -36,7 +36,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import le, lshift, mul, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arith import Rational, _strip_content, matrix_rank
 from .poly import (
@@ -734,37 +734,39 @@ def _count_in(M: MonomialIdeal, D: tuple) -> int:
 
 
 def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
-                   degrees: Sequence[tuple], skip_unit: bool) -> Iterator:
-    """For each multidegree D of degrees in turn, the rows {column: int}
-    of the products monomial * p (monomial != 1 if skip_unit) in D, p's
-    coefficients with denominators cleared.  Column i is the i-th
-    monomial of degree D in ascending order, so matrix_rank pivots on
-    lex-smallest monomials: on the n = 8 matrices that has 35-45% less
-    fill-in than pivoting on lex-largest.  Monomials are packed, so a
-    product is one add and its column one dict lookup."""
-    gens = [(p.multidegree(), _int_form(p)[0]) for p in polys if p.terms]
-    # no exponent exceeds a block degree of some D or of some p
-    top = max([d for D in degrees for d in D]
-              + [d for deg, _ in gens for d in deg], default=0)
-    pack = _Packer(grevlex_order(ring), top.bit_length() + 1).pack
-    gens = [(deg, [(pack(m), c) for m, c in terms.items()])
-            for deg, terms in gens]
-    for D in degrees:
-        cols = {pack(m): i for i, m
-                in enumerate(sorted(monomials_of_multidegree(ring, D)))}
-        multipliers: dict = {}
-        rows = []
-        for deg, terms in gens:
-            rem = tuple(map(sub, D, deg))
-            if any(d < 0 for d in rem) or (skip_unit and not any(rem)):
-                continue
-            ms = multipliers.get(rem)
-            if ms is None:
-                ms = [pack(m) for m in monomials_of_multidegree(ring, rem)]
-                multipliers[rem] = ms
-            for m in ms:
-                rows.append({cols[t + m]: c for t, c in terms})
-        yield rows
+                   D: tuple, skip_unit: bool) -> list:
+    """Rows {column: int} of the products monomial * p (monomial != 1 if
+    skip_unit) in multidegree D, p's coefficients with denominators
+    cleared.  Column i is the i-th monomial of degree D in ascending
+    order, so matrix_rank pivots on lex-smallest monomials: on the n = 8
+    matrices that has 35-45% less fill-in than pivoting on lex-largest.
+    Monomials are packed into ints, so a product is one add and its
+    column one dict lookup; no exponent of degree D exceeds max(D), so
+    fields of that width never carry."""
+    width = max(D, default=0).bit_length()
+    shifts = range(0, ring.nvars * width, width)
+
+    def pack(mono: Monomial) -> int:
+        return sum(map(lshift, mono, shifts))
+
+    cols = {pack(m): i
+            for i, m in enumerate(sorted(monomials_of_multidegree(ring, D)))}
+    multipliers: dict = {}
+    rows = []
+    for p in polys:
+        if not p.terms:
+            continue
+        rem = tuple(map(sub, D, p.multidegree()))
+        if any(d < 0 for d in rem) or (skip_unit and not any(rem)):
+            continue
+        ms = multipliers.get(rem)
+        if ms is None:
+            ms = [pack(m) for m in monomials_of_multidegree(ring, rem)]
+            multipliers[rem] = ms
+        terms = [(pack(m), c) for m, c in _int_form(p)[0].items()]
+        for m in ms:
+            rows.append({cols[t + m]: c for t, c in terms})
+    return rows
 
 
 def graded_piece_dim(I: Ideal, degree: Sequence[int],
@@ -783,7 +785,7 @@ def graded_piece_dim(I: Ideal, degree: Sequence[int],
         return _count_in(initial_ideal(I), degree)
     if method != "rank":
         raise ValueError(f"unknown method {method!r}")
-    (rows,) = _macaulay_rows(I.gens, ring, [degree], skip_unit=False)
+    rows = _macaulay_rows(I.gens, ring, degree, skip_unit=False)
     if not rows:
         return 0
     return matrix_rank(rows)
@@ -802,9 +804,9 @@ def min_gens_by_total_degree(I: Ideal) -> dict:
     degrees = sorted({g.multidegree() for g in gb})
     M = initial_ideal(I)
     out: dict = {}
-    all_rows = _macaulay_rows(gb, ring, degrees, skip_unit=True)
-    for D, rows in zip(degrees, all_rows):
+    for D in degrees:
         dim_full = _count_in(M, D)
+        rows = _macaulay_rows(gb, ring, D, skip_unit=True)
         lower = matrix_rank(rows) if rows else 0
         count = dim_full - lower
         if count:
