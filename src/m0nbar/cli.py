@@ -20,7 +20,6 @@ from .ideal import (
     graded_piece_dim,
     hilbert_degree,
     initial_ideal,
-    is_squarefree,
     min_gens_by_total_degree,
     saturation_pipeline,
 )
@@ -73,7 +72,7 @@ def cmd_saturate(args) -> int:
     codim, degree = hilbert_degree(I)
     print(f"codim {codim}")
     print(f"degree {degree}")
-    squarefree = is_squarefree(initial_ideal(I, lex_order(I.ring)))
+    squarefree = initial_ideal(I, lex_order(I.ring)).is_squarefree()
     print(f"lex initial ideal square-free: {'yes' if squarefree else 'no'}")
     print(f"wall time: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
     return 0

@@ -23,9 +23,10 @@ bases are reduced, monic, and sorted by ascending leading monomial, so
 equal ideals yield identical bases.
 
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
-with v as the smallest variable, whose basis elements are then divided
-by their largest powers of v (Bayer-Stillman).  Ideal intersection
-adjoins an auxiliary variable t and eliminates it from t*I + (1-t)*J.
+with v as the smallest variable, whose basis elements divided by their
+largest powers of v generate the saturation (Bayer-Stillman).  Ideal
+intersection is the only place that adjoins a variable: it builds the
+ring with one more variable t and eliminates t from t*I + (1-t)*J.
 Graded invariants (piece dimensions, minimal generator counts, Hilbert
 codimension and degree) come either from standard monomials of an
 initial ideal or from exact matrix ranks.
@@ -44,7 +45,7 @@ from .poly import (
     MonomialOrder,
     Polynomial,
     RingSpec,
-    aux_elimination_order,
+    elimination_order,
     grevlex_order,
     monomials_of_multidegree,
 )
@@ -482,18 +483,6 @@ def equal_ideals(I: Ideal, J: Ideal,
 # -- elimination, saturation, intersection --------------------------------
 
 
-def _eliminate_aux(gb: Iterable[Polynomial], base: RingSpec,
-                   ext: RingSpec) -> list:
-    """Aux-free elements of a Groebner basis under an aux elimination
-    order; they are the reduced basis of the contraction to `base`."""
-    nv = len(ext.names)
-    out = []
-    for g in gb:
-        if all(not any(m[nv:]) for m in g.terms):
-            out.append(g.map_to_ring(base))
-    return out
-
-
 def saturate_by_variable(I: Ideal, var: str | int,
                          progress: Progress | None = None) -> Ideal:
     """I : v^infinity for an ideal I homogeneous in total degree.
@@ -501,14 +490,13 @@ def saturate_by_variable(I: Ideal, var: str | int,
     One grevlex run with v as the smallest variable (Bayer-Stillman):
     v divides a homogeneous element iff it divides its leading monomial,
     so dividing every basis element by its largest power of v gives a
-    basis of I : v^infinity.  Returns I itself when no basis element is
-    divisible by v (v is then a nonzerodivisor mod I); otherwise a new
-    ideal whose generators are its reduced grevlex basis.  Raises
-    ValueError on a generator that is not homogeneous.
+    Groebner basis of I : v^infinity under the same order.  Returns I
+    itself when no basis element is divisible by v (v is then a
+    nonzerodivisor mod I); otherwise a new ideal generated by the divided
+    basis elements.  Raises ValueError on a generator that is not
+    homogeneous.
     """
     ring = I.ring
-    if ring.aux_names:
-        raise ValueError("saturation needs a ring without aux variables")
     if any(len({sum(m) for m in g.terms}) > 1 for g in I.gens):
         raise ValueError("saturation by a variable needs generators "
                          "homogeneous in total degree")
@@ -520,29 +508,36 @@ def saturate_by_variable(I: Ideal, var: str | int,
     powers = [min(m[idx] for m in g.terms) for g in gb]
     if not any(powers):
         return I
-    divided = [Polynomial(ring, {m[:idx] + (m[idx] - k,) + m[idx + 1:]: c
-                                 for m, c in g.terms.items()})
-               for g, k in zip(gb, powers)]
-    basis = buchberger(divided, grevlex_order(ring), progress)
-    return Ideal(ring, basis).with_cached_basis(grevlex_order(ring), basis)
+    return Ideal(ring, [
+        Polynomial(ring, {m[:idx] + (m[idx] - k,) + m[idx + 1:]: c
+                          for m, c in g.terms.items()})
+        for g, k in zip(gb, powers)])
 
 
 def intersect(I: Ideal, J: Ideal,
               progress: Progress | None = None) -> Ideal:
-    """Ideal intersection via t*I + (1-t)*J and elimination of t."""
+    """Ideal intersection via t*I + (1-t)*J and elimination of t.
+
+    t is one more variable, appended to the ring in a block of its own.
+    The t-free elements of the reduced basis under an order eliminating
+    t are the reduced grevlex basis of the intersection."""
     ring = I.ring
     if J.ring != ring:
         raise ValueError("ideals live in different rings")
-    if ring.aux_names:
-        raise ValueError("intersection needs a ring without aux variables")
-    ext = ring.extended()
-    t = ext.var_by_index(ext.nvars - 1)
-    one_minus_t = ext.one() - t
-    gens = [t * g.map_to_ring(ext) for g in I.gens]
-    gens += [one_minus_t * g.map_to_ring(ext) for g in J.gens]
-    order = aux_elimination_order(ext)
-    gb = buchberger(gens, order, progress)
-    kept = _eliminate_aux(gb, ring, ext)
+    name = "_t"
+    while name in ring.names:
+        name += "_"
+    nv = ring.nvars
+    ext = RingSpec(ring.block_sizes + (1,), ring.names + (name,))
+
+    def times_t(g: Polynomial, e: int) -> Polynomial:
+        return Polynomial(ext, {m + (e,): c for m, c in g.terms.items()})
+
+    gens = [times_t(g, 1) for g in I.gens]
+    gens += [times_t(g, 0) - times_t(g, 1) for g in J.gens]
+    gb = buchberger(gens, elimination_order(ext, [nv]), progress)
+    kept = [Polynomial(ring, {m[:nv]: c for m, c in g.terms.items()})
+            for g in gb if not any(m[nv] for m in g.terms)]
     return Ideal(ring, kept).with_cached_basis(grevlex_order(ring), kept)
 
 
@@ -610,7 +605,7 @@ class MonomialIdeal:
         return self.ring == other.ring and self.gens == other.gens
 
     def __repr__(self) -> str:
-        names = self.ring.all_names
+        names = self.ring.names
         def fmt(m):
             return "*".join(f"{n}^{e}" if e > 1 else n
                             for n, e in zip(names, m) if e) or "1"
@@ -622,10 +617,6 @@ def initial_ideal(I: Ideal, order: MonomialOrder | None = None) -> MonomialIdeal
     order = order or grevlex_order(I.ring)
     gb = I.groebner_basis(order)
     return MonomialIdeal(I.ring, [g.leading_monomial(order) for g in gb])
-
-
-def is_squarefree(M: MonomialIdeal) -> bool:
-    return M.is_squarefree()
 
 
 def _hilbert_numerator(gens: tuple, memo: dict) -> tuple:
@@ -684,8 +675,6 @@ def _series_add(a: tuple, b: tuple) -> tuple:
 def hilbert_numerator(M: MonomialIdeal) -> list:
     """Coefficients of N(T) with H_{R/M}(T) = N(T)/(1-T)^nvars under the
     flattened grading (every variable has degree 1)."""
-    if M.ring.aux_names:
-        raise ValueError("monomial ideal involves aux variables")
     return list(_hilbert_numerator(M.gens, {}))
 
 
@@ -716,14 +705,12 @@ def hilbert_degree(I: Ideal, order: MonomialOrder | None = None) -> tuple:
 
 def _count_in(M: MonomialIdeal, D: tuple) -> int:
     """Number of monomials of multidegree D inside M.  Only generators
-    of multidegree <= D componentwise (and free of aux variables) can
-    divide one of them."""
+    of multidegree <= D componentwise can divide one of them."""
     ring = M.ring
-    nv = len(ring.names)
     packer = _Packer(grevlex_order(ring), max(D, default=0).bit_length() + 1)
     guard = packer.guard
     gens = [packer.pack(g) for g in M.gens
-            if all(map(le, ring.multidegree(g), D)) and not any(g[nv:])]
+            if all(map(le, ring.multidegree(g), D))]
     count = 0
     for m in map(packer.pack, monomials_of_multidegree(ring, D)):
         for g in gens:

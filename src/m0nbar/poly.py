@@ -2,9 +2,7 @@
 
 The coordinate ring of a product of projective spaces has its variables
 grouped into blocks, one block per factor; the multidegree of a monomial
-is the vector of per-block total degrees.  Auxiliary variables (used
-only for elimination) sit at the end of the variable list and carry
-multidegree zero.
+is the vector of per-block total degrees.
 
 Representation: a monomial is a tuple of exponents over all variables,
 a polynomial is a dict mapping monomials to nonzero Rational
@@ -34,32 +32,25 @@ class RingSpec:
     """Variable layout of a multigraded polynomial ring.
 
     block_sizes lists the number of variables in each block; names lists
-    all variable names, blocks concatenated in order, then aux_names.
-    Aux variables do not contribute to the multidegree.
+    all variable names, blocks concatenated in order.
     """
 
     block_sizes: tuple
     names: tuple
-    aux_names: tuple = ()
 
     def __post_init__(self):
         if sum(self.block_sizes) != len(self.names):
             raise ValueError("block sizes do not match name count")
-        all_names = self.names + self.aux_names
-        if len(set(all_names)) != len(all_names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
 
     @property
     def nvars(self) -> int:
-        return len(self.names) + len(self.aux_names)
+        return len(self.names)
 
     @property
     def nblocks(self) -> int:
         return len(self.block_sizes)
-
-    @property
-    def all_names(self) -> tuple:
-        return self.names + self.aux_names
 
     def block_slices(self) -> list:
         out = []
@@ -70,7 +61,7 @@ class RingSpec:
         return out
 
     def index(self, name: str) -> int:
-        return self.all_names.index(name)
+        return self.names.index(name)
 
     def multidegree(self, mono: Monomial) -> Multidegree:
         out = []
@@ -81,14 +72,7 @@ class RingSpec:
         return tuple(out)
 
     def total_degree(self, mono: Monomial) -> int:
-        """Sum of block degrees (aux variables do not count)."""
-        return sum(mono[:len(self.names)])
-
-    def extended(self, count: int = 1) -> "RingSpec":
-        """Same ring with `count` extra aux (elimination) variables."""
-        k = len(self.aux_names)
-        extra = tuple(f"_t{k + i}" for i in range(count))
-        return RingSpec(self.block_sizes, self.names, self.aux_names + extra)
+        return sum(mono)
 
     # -- polynomial constructors --------------------------------------
 
@@ -111,10 +95,6 @@ class RingSpec:
         mono = [0] * self.nvars
         mono[i] = 1
         return Polynomial(self, {tuple(mono): Rational(1)})
-
-    def vars(self) -> list:
-        """All non-aux variables as polynomials, in ring order."""
-        return [self.var_by_index(i) for i in range(len(self.names))]
 
 
 def moduli_ring(n: int) -> RingSpec:
@@ -223,12 +203,6 @@ def elimination_order(ring: RingSpec, front: Sequence[int]) -> MonomialOrder:
     front = list(front)
     rest = [i for i in range(ring.nvars) if i not in front]
     return MonomialOrder(ring, "grevlex", front + rest, elim=len(front))
-
-
-def aux_elimination_order(ring: RingSpec) -> MonomialOrder:
-    """Eliminate all aux variables of the ring."""
-    nv, na = ring.nvars, len(ring.aux_names)
-    return elimination_order(ring, range(nv - na, nv))
 
 
 class Polynomial:
@@ -382,23 +356,6 @@ class Polynomial:
             total = total + t
         return total
 
-    def map_to_ring(self, target: RingSpec) -> "Polynomial":
-        """Reinterpret in a ring with the same named block variables and
-        a different number of aux variables (exponents of dropped aux
-        variables must be zero)."""
-        if target.names != self.ring.names or target.block_sizes != self.ring.block_sizes:
-            raise ValueError("rings differ in block variables")
-        nv = len(self.ring.names)
-        old_aux = self.ring.nvars - nv
-        new_aux = target.nvars - nv
-        out = {}
-        for mono, coeff in self.terms.items():
-            aux = mono[nv:]
-            if any(aux[new_aux:]):
-                raise ValueError("polynomial involves aux variables being dropped")
-            out[mono[:nv] + aux[:new_aux] + (0,) * (new_aux - old_aux)] = coeff
-        return Polynomial(target, out)
-
     # -- formatting ---------------------------------------------------
 
     def __str__(self) -> str:
@@ -406,14 +363,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{format_polynomial(self)}>"
-
-
-def multidegree_of(p: Polynomial) -> Multidegree:
-    return p.multidegree()
-
-
-def evaluate(p: Polynomial, values: Sequence[Coefficient]) -> Rational:
-    return p.evaluate(values)
 
 
 def _compositions(total: int, parts: int) -> Iterator:
@@ -439,19 +388,18 @@ def count_monomials_of_multidegree(ring: RingSpec, degree: Sequence[int]) -> int
 
 
 def monomials_of_multidegree(ring: RingSpec, degree: Sequence[int]) -> list:
-    """All monomials of the given multidegree (aux exponents zero),
-    in a fixed deterministic order."""
+    """All monomials of the given multidegree, in a fixed deterministic
+    order."""
     if len(degree) != ring.nblocks:
         raise ValueError("degree vector length does not match block count")
     per_block = [list(_compositions(d, s))
                  for d, s in zip(degree, ring.block_sizes)]
-    aux = (0,) * len(ring.aux_names)
     out = []
     for pieces in product(*per_block):
         mono = ()
         for piece in pieces:
             mono += piece
-        out.append(mono + aux)
+        out.append(mono)
     return out
 
 
@@ -459,7 +407,7 @@ def format_polynomial(p: Polynomial) -> str:
     """Render with terms in descending lex order: "a0*b0*b1 - a1*b0*b1"."""
     if not p.terms:
         return "0"
-    names = p.ring.all_names
+    names = p.ring.names
     lex = lex_order(p.ring)
     parts: list = []
     for mono in sorted(p.terms, key=lex.key, reverse=True):

@@ -25,7 +25,6 @@ from m0nbar.ideal import (
     graded_piece_dim,
     hilbert_degree,
     initial_ideal,
-    is_squarefree,
     min_gens_by_total_degree,
     saturation_pipeline,
 )
@@ -120,7 +119,7 @@ def test_criterion_05_saturation_n5():
         return (len(I.gens) == 1
                 and equal_ideals(I, Ideal(ring, abeq))
                 and min_gens_by_total_degree(I) == {3: 1}
-                and is_squarefree(initial_ideal(I, lex_order(ring)))
+                and initial_ideal(I, lex_order(ring)).is_squarefree()
                 and hilbert_degree(I) == (1, 3))
 
     run_criterion(5, "saturation n=5 gives the principal cubic ideal", body,
@@ -138,7 +137,7 @@ def test_criterion_06_saturation_n6():
                 and equal_ideals(I, Ideal(ring, list(J.gens) + [f6]))
                 and min_gens_by_total_degree(I) == {3: 5, 4: 1}
                 and hilbert_degree(I) == (3, 15)
-                and is_squarefree(initial_ideal(I, lex_order(ring))))
+                and initial_ideal(I, lex_order(ring)).is_squarefree())
 
     run_criterion(6, "saturation n=6 adds exactly the quartic", body,
                   bound=120.0)

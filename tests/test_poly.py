@@ -8,7 +8,6 @@ from m0nbar.arith import Rational, rat
 from m0nbar.poly import (
     MonomialOrder,
     Polynomial,
-    aux_elimination_order,
     count_monomials_of_multidegree,
     elimination_order,
     format_polynomial,
@@ -16,7 +15,6 @@ from m0nbar.poly import (
     lex_order,
     moduli_ring,
     monomials_of_multidegree,
-    multidegree_of,
     parse_polynomial,
     polynomial_ring,
 )
@@ -46,27 +44,12 @@ def test_moduli_ring_layout():
 
 def test_multidegree():
     p = P(R6, "a0*b1*c2^2")
-    assert multidegree_of(p) == (1, 1, 2)
+    assert p.multidegree() == (1, 1, 2)
     assert p.total_degree() == 4
     q = P(R6, "a0*b1 + b0*c1")
     assert not q.is_multihomogeneous()
     with pytest.raises(ValueError):
         q.multidegree()
-    # aux variables carry multidegree zero
-    ext = R6.extended()
-    t = ext.var("_t0")
-    assert (t * t.ring.var("a0")).multidegree() == (1, 0, 0)
-
-
-def test_extended_ring_and_mapping():
-    ext = R6.extended()
-    assert ext.aux_names == ("_t0",)
-    p = P(R6, "a0*b0 - b1*c2")
-    lifted = p.map_to_ring(ext)
-    assert lifted.ring == ext
-    assert lifted.map_to_ring(R6) == p
-    with pytest.raises(ValueError):
-        (ext.var("_t0") * lifted).map_to_ring(R6)
 
 
 # -- monomial orders ----------------------------------------------------
@@ -93,14 +76,17 @@ def test_lex_vs_grevlex():
 
 
 def test_elimination_order_property():
-    ext = XYZ.extended()
-    order = aux_elimination_order(ext)
-    t = ext.var("_t0").leading_monomial(order)
+    # eliminating the last variable t, as ideal intersection does
+    ext = polynomial_ring(["x", "y", "z", "t"])
+    order = elimination_order(ext, [3])
+    t = ext.var("t").leading_monomial(order)
     x5 = (ext.var("x") ** 5).leading_monomial(order)
     assert order.greater(t, x5)
-    # explicit front works the same way
-    order2 = elimination_order(ext, [3])
-    assert order2 == order
+    # t-free monomials compare as under grevlex on x, y, z
+    monos = [m for d in range(4)
+             for m in monomials_of_multidegree(XYZ, (d,))]
+    assert ([m + (0,) for m in grevlex_order(XYZ).sorted(monos)]
+            == order.sorted(m + (0,) for m in monos))
 
 
 mono3 = st.tuples(*(st.integers(min_value=0, max_value=6) for _ in range(3)))
