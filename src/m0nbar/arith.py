@@ -1,4 +1,4 @@
-"""Exact rational arithmetic and exact linear algebra.
+"""Exact rational arithmetic and exact matrix rank.
 
 Rationals are implemented from scratch on top of Python's arbitrary
 precision integers and kept in canonical form at all times: the
@@ -6,9 +6,11 @@ denominator is positive, numerator and denominator are coprime, and
 zero is stored as 0/1.  Equality and hashing agree with plain ints for
 integral values, so Rational(4, 2) == 2 and both hash alike.
 
-Matrix rank is computed by sparse fraction-free elimination of integer
-rows (dense rows or {column: value} dicts, denominators cleared), so no
-floating point is involved anywhere.
+Matrix rank, the package's only linear-algebra routine, is computed by
+sparse fraction-free elimination of integer rows (dense rows or
+{column: value} dicts), so no floating point is involved anywhere.
+Rows and polynomials alike become integers through one helper,
+_int_form, which clears the denominators of a mapping's values.
 """
 
 from __future__ import annotations
@@ -168,69 +170,9 @@ class Rational:
         return f"Rational({self.num}, {self.den})"
 
 
-ZERO = Rational(0)
-ONE = Rational(1)
-
-
 def rat(num: int, den: int = 1) -> Rational:
     """Shorthand constructor."""
     return Rational(num, den)
-
-
-def _as_rational(x: RationalLike) -> Rational:
-    return x if isinstance(x, Rational) else Rational(x)
-
-
-class RationalMatrix:
-    """A dense matrix of Rationals with exact rank and solving."""
-
-    def __init__(self, rows: Sequence[Sequence[RationalLike]]) -> None:
-        self.rows: list[list[Rational]] = [
-            [_as_rational(x) for x in row] for row in rows
-        ]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
-
-    def rank(self) -> int:
-        return matrix_rank(self.rows)
-
-    def solve(self, rhs: Sequence[RationalLike]) -> list[Rational] | None:
-        """One exact solution x of self * x = rhs, or None if inconsistent.
-
-        Free variables are set to zero.  Uses Gauss-Jordan elimination
-        over the rationals.
-        """
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length does not match row count")
-        aug = [row[:] + [_as_rational(b)] for row, b in zip(self.rows, rhs)]
-        n, m = self.nrows, self.ncols
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for c in range(m):
-            pivot = next((i for i in range(r, n) if aug[i][c].num != 0), None)
-            if pivot is None:
-                continue
-            aug[r], aug[pivot] = aug[pivot], aug[r]
-            inv = aug[r][c].inverse()
-            aug[r] = [x * inv for x in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][c].num != 0:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            pivots.append((r, c))
-            r += 1
-            if r == n:
-                break
-        for i in range(r, n):
-            if aug[i][m].num != 0:
-                return None
-        x = [Rational(0) for _ in range(m)]
-        for pr, pc in pivots:
-            x[pc] = aug[pr][m]
-        return x
 
 
 def _strip_content(terms: dict) -> None:
@@ -245,15 +187,23 @@ def _strip_content(terms: dict) -> None:
             terms[m] //= g
 
 
-def _integer_row(row: Sequence[RationalLike] | Mapping) -> dict:
-    """{column: int} with the row's nonzero entries times the lcm of their
-    denominators; scaling a row by a positive integer keeps the rank."""
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    out = {j: x for j, x in items if x}
-    m = lcm(*(x.den for x in out.values() if isinstance(x, Rational)))
-    for j, x in out.items():
-        out[j] = x.num * (m // x.den) if isinstance(x, Rational) else x * m
-    return out
+def _int_form(values: Mapping) -> tuple:
+    """(ints, scale): the nonzero values of `values` times scale, as a new
+    dict of ints with the same keys, where scale > 0 is the least common
+    denominator of the values (Rational or int)."""
+    scale = 1
+    for x in values.values():
+        if isinstance(x, Rational):
+            scale = lcm(scale, x.den)
+    ints = {}
+    for k, x in values.items():
+        # x.num, not bool(x): Rational.__bool__ is a Python-level call
+        if isinstance(x, Rational):
+            if x.num:
+                ints[k] = x.num * (scale // x.den)
+        elif x:
+            ints[k] = x * scale
+    return ints, scale
 
 
 def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
@@ -264,10 +214,13 @@ def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
     time: while pivot p holds the row's leading column c, the row becomes
     (p[c] * row - row[c] * p) / gcd(p[c], row[c]).  A row that reaches a
     free column is divided by its content and becomes its pivot.
+    Scaling a row by a positive integer keeps the rank, so each row first
+    has its denominators cleared; the input rows are not modified.
     """
     pivots: dict = {}
     for row in rows:
-        r = _integer_row(row)
+        r, _ = _int_form(row if isinstance(row, Mapping)
+                         else dict(enumerate(row)))
         while r:
             c = min(r)
             p = pivots.get(c)

@@ -35,11 +35,11 @@ initial ideal or from exact matrix ranks.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 from operator import le, lshift, mul, sub
 from typing import Callable, Iterable, Sequence
 
-from .arith import Rational, _strip_content, matrix_rank
+from .arith import Rational, _int_form, _strip_content, matrix_rank
 from .poly import (
     Monomial,
     MonomialOrder,
@@ -112,7 +112,7 @@ class _Packer:
         """(num, monos, scale): num maps the order key of each monomial of
         scale*p to its integer coefficient, monos maps it to the packed
         monomial, and scale > 0 is the least common denominator of p."""
-        terms, scale = _int_form(p)
+        terms, scale = _int_form(p.terms)
         num: dict = {}
         monos: dict = {}
         for mono, c in terms.items():
@@ -160,15 +160,6 @@ class _Gen:
         self.lc = lc
         self.tail = tail
         self.top = top
-
-
-def _int_form(p: Polynomial) -> tuple:
-    """(terms, scale): the integer dict of scale*p, where scale > 0 is
-    the least common denominator of p's coefficients."""
-    scale = 1
-    for c in p.terms.values():
-        scale = lcm(scale, c.den)
-    return {m: c.num * (scale // c.den) for m, c in p.terms.items()}, scale
 
 
 def _normalized_gen(num: dict, monos: dict, packer: _Packer) -> _Gen:
@@ -703,16 +694,31 @@ def hilbert_degree(I: Ideal, order: MonomialOrder | None = None) -> tuple:
     return codim, sum(N)
 
 
+def _degree_packing(ring: RingSpec, D: tuple) -> tuple:
+    """(pack, guard) for monomials of multidegree <= D packed into ints.
+
+    No exponent exceeds max(D), so fields of max(D).bit_length() + 1 bits
+    hold every exponent with a guard bit on top, as in _Packer: a product
+    of multidegree <= D is one add that never carries, and d divides m
+    iff (m - d) & guard == 0."""
+    width = max(D, default=0).bit_length() + 1
+    shifts = range(0, ring.nvars * width, width)
+    guard = sum(1 << (s + width - 1) for s in shifts)
+
+    def pack(mono: Monomial) -> int:
+        return sum(map(lshift, mono, shifts))
+
+    return pack, guard
+
+
 def _count_in(M: MonomialIdeal, D: tuple) -> int:
     """Number of monomials of multidegree D inside M.  Only generators
     of multidegree <= D componentwise can divide one of them."""
     ring = M.ring
-    packer = _Packer(grevlex_order(ring), max(D, default=0).bit_length() + 1)
-    guard = packer.guard
-    gens = [packer.pack(g) for g in M.gens
-            if all(map(le, ring.multidegree(g), D))]
+    pack, guard = _degree_packing(ring, D)
+    gens = [pack(g) for g in M.gens if all(map(le, ring.multidegree(g), D))]
     count = 0
-    for m in map(packer.pack, monomials_of_multidegree(ring, D)):
+    for m in map(pack, monomials_of_multidegree(ring, D)):
         for g in gens:
             if not (m - g) & guard:
                 count += 1
@@ -727,15 +733,9 @@ def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
     cleared.  Column i is the i-th monomial of degree D in ascending
     order, so matrix_rank pivots on lex-smallest monomials: on the n = 8
     matrices that has 35-45% less fill-in than pivoting on lex-largest.
-    Monomials are packed into ints, so a product is one add and its
-    column one dict lookup; no exponent of degree D exceeds max(D), so
-    fields of that width never carry."""
-    width = max(D, default=0).bit_length()
-    shifts = range(0, ring.nvars * width, width)
-
-    def pack(mono: Monomial) -> int:
-        return sum(map(lshift, mono, shifts))
-
+    Monomials are packed into ints (_degree_packing), so a product is one
+    add and its column one dict lookup."""
+    pack, _ = _degree_packing(ring, D)
     cols = {pack(m): i
             for i, m in enumerate(sorted(monomials_of_multidegree(ring, D)))}
     multipliers: dict = {}
@@ -750,7 +750,7 @@ def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
         if ms is None:
             ms = [pack(m) for m in monomials_of_multidegree(ring, rem)]
             multipliers[rem] = ms
-        terms = [(pack(m), c) for m, c in _int_form(p)[0].items()]
+        terms = [(pack(m), c) for m, c in _int_form(p.terms)[0].items()]
         for m in ms:
             rows.append({cols[t + m]: c for t, c in terms})
     return rows

@@ -32,8 +32,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .arith import Rational, RationalMatrix, _strip_content
-from .ideal import Ideal, _int_form, contains, normal_form
+from .arith import Rational, _int_form, _strip_content
+from .ideal import Ideal, contains, normal_form
 from .poly import (
     Polynomial,
     RingSpec,
@@ -57,7 +57,7 @@ def _block_var(ring: RingSpec, block: int, j: int) -> Polynomial:
 def _canonical_sign(p: Polynomial) -> Polynomial:
     """Scale to integer, content-free coefficients with a positive
     lex-leading coefficient."""
-    terms, _ = _int_form(p)
+    terms, _ = _int_form(p.terms)
     _strip_content(terms)
     sign = -1 if terms[p.leading_monomial(lex_order(p.ring))] < 0 else 1
     return Polynomial(p.ring, {m: Rational(sign * c) for m, c in terms.items()})
@@ -280,45 +280,36 @@ SEGRE_QUADRICS_N5 = (
 def segre_quadrics_n5() -> Ideal:
     """Quadric ideal of the five-point moduli space re-embedded in P^5.
 
-    Constructs the ideal from first principles: pull the products
-    a0 * (cubic) and a1 * (cubic) back through the Segre identification
-    t_{3i+j} = a_i * b_j by exact linear solving, add the three 2x2
-    Segre relations of the matrix [[t0,t1,t2],[t3,t4,t5]], and verify
-    two-way containment against the five reference quadrics (ten
-    normal-form checks).  Raises AssertionError on any mismatch.
+    Constructs the ideal from first principles: the Segre identification
+    t_{3i+j} = a_i * b_j is a monomial map, sending each quadratic
+    t-monomial to one monomial of degree (2,2).  Pull the products
+    a0 * (cubic) and a1 * (cubic) back term by term through the first
+    preimage of each monomial, add the three 2x2 Segre relations of the
+    matrix [[t0,t1,t2],[t3,t4,t5]], and verify two-way containment
+    against the five reference quadrics (ten normal-form checks).
+    Raises AssertionError on any mismatch.
     """
     tring = polynomial_ring([f"t{i}" for i in range(6)])
     base = moduli_ring(5)
     cubic = cubic_generators(5)[0]
 
-    # images of the 21 quadratic t-monomials inside degree (2,2)
-    tmonos = monomials_of_multidegree(tring, (2,))
-    images = []
-    for mono in tmonos:
-        img = base.one()
+    # first preimage of each (2,2) monomial among the quadratic t-monomials
+    preimage: dict = {}
+    for mono in monomials_of_multidegree(tring, (2,)):
+        img = [0] * base.nvars
         for idx, e in enumerate(mono):
             ai, bj = divmod(idx, 3)
-            for _ in range(e):
-                img = img * base.var(f"a{ai}") * base.var(f"b{bj}")
-        images.append(img.leading_monomial(lex_order(base)))
-    rows_index = {m: r for r, m in
-                  enumerate(monomials_of_multidegree(base, (2, 2)))}
-    matrix = [[Rational(0)] * len(tmonos) for _ in rows_index]
-    for col, img in enumerate(images):
-        matrix[rows_index[img]][col] = Rational(1)
-    solver = RationalMatrix(matrix)
+            img[base.index(f"a{ai}")] += e
+            img[base.index(f"b{bj}")] += e
+        preimage.setdefault(tuple(img), mono)
 
     lifted = []
     for a in ("a0", "a1"):
         target = base.var(a) * cubic
-        rhs = [Rational(0)] * len(rows_index)
-        for mono, coeff in target.terms.items():
-            rhs[rows_index[mono]] = coeff
-        sol = solver.solve(rhs)
-        if sol is None:
+        if not all(mono in preimage for mono in target.terms):
             raise AssertionError(f"{a} * cubic is not a quadric pullback")
-        lifted.append(Polynomial.from_terms(
-            tring, zip(tmonos, sol)))
+        lifted.append(Polynomial(tring, {preimage[mono]: c for mono, c
+                                         in target.terms.items()}))
 
     t = [tring.var(f"t{i}") for i in range(6)]
     relations = [t[0] * t[4] - t[1] * t[3],

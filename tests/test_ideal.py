@@ -417,6 +417,15 @@ def test_graded_piece_dim_both_methods():
     assert graded_piece_dim(I5, (0, 2), "rank") == 0
 
 
+def test_graded_invariants_in_degree_zero():
+    # degree 0 packs monomials into fields one bit wide (the guard bit)
+    for gen, want in [("1", 1), ("x", 0)]:
+        I = Ideal(XY, [P(XY, gen)])
+        assert graded_piece_dim(I, (0,), "standard") == want
+        assert graded_piece_dim(I, (0,), "rank") == want
+    assert min_gens_by_total_degree(Ideal(XY, [XY.one()])) == {0: 1}
+
+
 def test_min_gens_by_total_degree():
     I = Ideal(XY, [P(XY, "x^2"), P(XY, "x*y"), P(XY, "x^3")])
     assert min_gens_by_total_degree(I) == {2: 2}

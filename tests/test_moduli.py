@@ -294,6 +294,15 @@ def test_segre_quadrics_n5():
     assert hilbert_degree(K) == (3, 5)
 
 
+def test_segre_quadrics_n5_pullbacks():
+    # a0 * cubic and a1 * cubic pulled back through the first preimage of
+    # each monomial (in monomials_of_multidegree order) lead the generators
+    assert [str(g) for g in segre_quadrics_n5().gens[:2]] == [
+        "t0*t1 - t0*t4 + t0*t5 - t1*t2",
+        "t0*t4 - t1*t5 - t3*t4 + t3*t5",
+    ]
+
+
 # -- trees and boundary -------------------------------------------------------
 
 

@@ -1,0 +1,11 @@
+"""Tests for the package's public namespace."""
+
+import m0nbar
+
+
+def test_all_names_resolve_sorted_and_unique():
+    names = m0nbar.__all__
+    missing = [name for name in names if not hasattr(m0nbar, name)]
+    assert missing == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
