@@ -189,6 +189,8 @@ def main(argv=None) -> int:
     if args.n < lo or (hi is not None and args.n > hi):
         top = f" and <= {hi}" if hi is not None else ""
         parser.error(f"{args.command}: n must be >= {lo}{top}")
+    if args.command == "verify" and args.trials < 1:
+        parser.error("verify: --trials must be >= 1")
     return args.func(args)
 
 

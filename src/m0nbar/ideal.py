@@ -83,7 +83,7 @@ class _Packer:
         # a key digit is a signed sum of at most nv exponents, each at
         # most mask, so its absolute value stays below half the radix
         bits = width + nv.bit_length()
-        units = [order._compute_key(tuple(int(u == v) for u in range(nv)))
+        units = [order.key(tuple(int(u == v) for u in range(nv)))
                  for v in range(nv)]
         top = len(units[0]) - 1
         self.weights = tuple(sum(d << (bits * (top - j))
@@ -398,11 +398,13 @@ class Ideal:
             order = grevlex_order(self.ring)
         cached = self._gb.get(order)
         if cached is None:
-            cached = tuple(buchberger(self.gens, order, progress))
-            # sanity: every original generator must reduce to zero
-            if any(r.terms for r in _remainders(self.gens, cached, order)):
-                raise AssertionError("generator does not reduce to zero "
-                                     "against its own Groebner basis")
+            cached = ()  # the basis of the zero ideal
+            if any(g.terms for g in self.gens):
+                cached = tuple(buchberger(self.gens, order, progress))
+                # sanity: every original generator must reduce to zero
+                if any(r.terms for r in _remainders(self.gens, cached, order)):
+                    raise AssertionError("generator does not reduce to zero "
+                                         "against its own Groebner basis")
             self._gb[order] = cached
         return cached
 
@@ -425,6 +427,8 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
 def _remainders(fs: Sequence[Polynomial], basis: Sequence[Polynomial],
                 order: MonomialOrder) -> list:
     """normal_form of each f in fs, packing the basis once."""
+    if any(p.ring != order.ring for p in (*fs, *basis)):
+        raise ValueError("polynomials, basis and order must share one ring")
     polys = [g for g in basis if g.terms]
     width = _width(list(fs) + polys)
     while True:

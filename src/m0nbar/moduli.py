@@ -16,12 +16,13 @@ matrix per pair of blocks i < j:
 All minors together give binomial(n-1, 4) cubics; saturating the ideal
 they generate by every block's irrelevant ideal produces one extra
 minimal generator per degree 4, 5, ..., n-3, the first layer of which
-is the six-term quartic family below (binomial(n-1, 5) equations).
+is the six-term quartic family below (binomial(n-1, 5) equations, one
+per 5-subset of {0, ..., n-2}).
 
 This module also covers the associated combinatorics: counts of
-boundary strata (trivalent leaf-labeled trees), the pairwise-nesting
-graph of boundary divisors, and the binomial identity predicting the
-number of degree-d generators.
+boundary strata (trivalent leaf-labeled trees, enumerated as sets of
+leaf splits), the pairwise-nesting graph of boundary divisors, and the
+binomial identity predicting the number of degree-d generators.
 """
 
 from __future__ import annotations
@@ -124,16 +125,12 @@ def minor_ideal(n: int) -> Ideal:
 
 
 def quartic_tuples(n: int) -> list:
-    """Index tuples (i, j, k, l, m) with 0 <= i < j <= k < l < m <= n-3."""
-    top = n - 3
-    out = []
-    for m in range(3, top + 1):
-        for l in range(2, m):
-            for k in range(1, l):
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        out.append((i, j, k, l, m))
-    return out
+    """Index tuples (i, j, k, l, m) with 0 <= i < j <= k < l < m <= n-3,
+    sorted by m, then l, k, j, i.  (i, j, k+1, l+1, m+1) runs once over
+    each 5-subset of {0, ..., n-2}, so there are binomial(n-1, 5)."""
+    return sorted(((i, j, k - 1, l - 1, m - 1)
+                   for i, j, k, l, m in combinations(range(n - 1), 5)),
+                  key=lambda t: t[::-1])
 
 
 def quartic_equation(n: int, tup: Sequence[int]) -> Polynomial:
@@ -251,6 +248,8 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
     Points are drawn without repetition from [-20, 20] with a seeded
     generator, so runs are reproducible.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     rng = random.Random(seed)
     eqs = cubic_generators(n) + quartic_equations(n)
     failures = []
@@ -341,53 +340,18 @@ def double_factorial(k: int) -> int:
 def enumerate_trivalent_trees(leaves: int) -> set:
     """All trivalent trees with the given labeled leaves, as canonical
     forms: the frozenset of leaf bipartitions (one side per edge, the
-    side not containing leaf 0).  Built by recursive edge insertion."""
+    side not containing leaf 0).  Leaf k is inserted into every edge s
+    of every tree on leaves 0..k-1: edge s becomes the sides s and
+    s | {k}, the pendant side {k} is added, and every side strictly
+    containing s gains k."""
     if leaves < 3:
         raise ValueError("need at least three leaves")
-
-    def splits(adj: dict) -> frozenset:
-        out = set()
-        edges = {tuple(sorted((u, v), key=str)) for u in adj for v in adj[u]}
-        for u, v in edges:
-            # leaves on v's side when edge u-v is cut
-            seen = {u, v}
-            stack = [v]
-            side = set()
-            while stack:
-                x = stack.pop()
-                if isinstance(x, int) and x >= 0:
-                    side.add(x)
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if 0 in side:
-                side = set(range(leaves)) - side
-            out.add(frozenset(side))
-        return frozenset(out)
-
-    # start with the unique 3-leaf tree: internal node -1 joined to 0,1,2
-    base = {-1: {0, 1, 2}, 0: {-1}, 1: {-1}, 2: {-1}}
-    trees = [base]
-    next_leaf = 3
-    while next_leaf < leaves:
-        grown = []
-        for adj in trees:
-            edges = {tuple(sorted((u, v), key=str))
-                     for u in adj for v in adj[u]}
-            new_internal = min(x for x in adj if isinstance(x, int) and x < 0) - 1
-            for u, v in edges:
-                t = {x: set(n) for x, n in adj.items()}
-                t[u].remove(v)
-                t[v].remove(u)
-                t[new_internal] = {u, v, next_leaf}
-                t[u].add(new_internal)
-                t[v].add(new_internal)
-                t[next_leaf] = {new_internal}
-                grown.append(t)
-        trees = grown
-        next_leaf += 1
-    return {splits(t) for t in trees}
+    trees = [frozenset(map(frozenset, ({1}, {2}, {1, 2})))]
+    for k in range(3, leaves):
+        trees = [frozenset([frozenset({k}), s | {k}]
+                           + [t | {k} if s < t else t for t in tree])
+                 for tree in trees for s in tree]
+    return set(trees)
 
 
 def stable_tree_count(n: int) -> int:

@@ -145,17 +145,9 @@ class MonomialOrder:
         if sorted(self.perm) != list(range(ring.nvars)):
             raise ValueError("perm must be a permutation of all variables")
         self.elim = elim
-        self._cache: dict = {}
 
     def key(self, mono: Monomial) -> tuple:
         """Order key; bigger key = bigger monomial. Additive in mono."""
-        k = self._cache.get(mono)
-        if k is None:
-            k = self._compute_key(mono)
-            self._cache[mono] = k
-        return k
-
-    def _compute_key(self, mono: Monomial) -> tuple:
         pe = [mono[p] for p in self.perm]
         head, tail = pe[:self.elim], pe[self.elim:]
         parts: list = []
@@ -469,7 +461,11 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
             if not factor:
                 raise ValueError(f"empty factor in {term!r}")
             if factor[0].isdigit():
-                coeff = coeff * Rational.from_string(factor)
+                try:
+                    coeff = coeff * Rational.from_string(factor)
+                except ZeroDivisionError:
+                    raise ValueError(
+                        f"zero denominator in {term!r}") from None
                 continue
             if "^" in factor:
                 name, _, e = factor.partition("^")

@@ -80,6 +80,15 @@ def test_verify_usage_error_above_range(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_usage_error_without_trials(capsys, trials):
+    # no trial means no evaluation, which must not read as a pass
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "5", "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials must be >= 1" in capsys.readouterr().err
+
+
 def test_saturate_n5(capsys):
     code, out, err = run(capsys, "saturate", "5")
     assert code == 0

@@ -108,6 +108,17 @@ def test_normal_form_divisor_order_is_deterministic():
     assert r1 == P(XY, "2") and r2 == P(XY, "2")
 
 
+def test_normal_form_rejects_other_rings():
+    # a monomial of another ring would be packed over the shorter tuple
+    x, z = XYZ.var("x"), XYZ.var("z")
+    with pytest.raises(ValueError):
+        contains(Ideal(XY, [XY.var("x")]), x * z)
+    with pytest.raises(ValueError):
+        normal_form(XY.var("x"), [z], grevlex_order(XY))
+    with pytest.raises(ValueError):
+        normal_form(x, [z], grevlex_order(XY))
+
+
 def test_normal_form_exponent_past_16_bits():
     # x^k modulo x - y^2 is y^(2k): lex reduction doubles the exponent,
     # so products must be checked against the field width, not wrapped
@@ -180,6 +191,11 @@ def test_contains_and_equal():
     J = Ideal(XY, [P(XY, "x - y"), P(XY, "y^2 - 1")])
     assert equal_ideals(I, J)
     assert not equal_ideals(I, Ideal(XY, [P(XY, "x")]))
+    # the zero ideal has the empty Groebner basis
+    Z = Ideal(XY, [])
+    assert Z.groebner_basis() == ()
+    assert not contains(Z, P(XY, "x"))
+    assert equal_ideals(Z, Ideal(XY, [XY.zero()]))
 
 
 def test_groebner_cache():
@@ -419,11 +435,17 @@ def test_graded_piece_dim_both_methods():
 
 def test_graded_invariants_in_degree_zero():
     # degree 0 packs monomials into fields one bit wide (the guard bit)
-    for gen, want in [("1", 1), ("x", 0)]:
-        I = Ideal(XY, [P(XY, gen)])
+    for gens, want in [(["1"], 1), (["x"], 0), ([], 0)]:
+        I = Ideal(XY, [P(XY, g) for g in gens])
         assert graded_piece_dim(I, (0,), "standard") == want
         assert graded_piece_dim(I, (0,), "rank") == want
     assert min_gens_by_total_degree(Ideal(XY, [XY.one()])) == {0: 1}
+    # the zero ideal: nothing in any degree, and R/0 is all of P^1
+    Z = Ideal(XY, [])
+    assert graded_piece_dim(Z, (2,), "standard") == 0
+    assert graded_piece_dim(Z, (2,), "rank") == 0
+    assert min_gens_by_total_degree(Z) == {}
+    assert hilbert_degree(Z) == (0, 1)
 
 
 def test_min_gens_by_total_degree():

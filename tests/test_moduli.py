@@ -6,6 +6,7 @@ construction must reproduce them exactly, in order, up to the canonical
 normalization (content-free, positive lex-leading coefficient).
 """
 
+import hashlib
 import os
 from math import comb
 
@@ -125,6 +126,15 @@ def test_generator_counts():
         assert len(quartic_tuples(n)) == comb(n - 1, 5)
 
 
+def test_quartic_tuples_order():
+    # by m, then l, k, j, i: the order the quartic family is built in
+    assert quartic_tuples(7) == [(0, 1, 1, 2, 3), (0, 1, 1, 2, 4),
+                                 (0, 1, 1, 3, 4), (0, 1, 2, 3, 4),
+                                 (0, 2, 2, 3, 4), (1, 2, 2, 3, 4)]
+    # n = 8 extends that list by the tuples with m = 5
+    assert quartic_tuples(8)[:7] == quartic_tuples(7) + [(0, 1, 1, 2, 5)]
+
+
 def test_generators_are_multihomogeneous():
     for n in (5, 6, 7):
         for g in cubic_generators(n):
@@ -194,6 +204,12 @@ def test_vanishing_small():
         assert report.ok
         assert report.equations == comb(n - 1, 4) + comb(n - 1, 5)
         assert report.checks == 5 * report.equations
+
+
+def test_vanishing_needs_a_trial():
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            vanishing_test(5, trials=trials)
 
 
 def test_vanishing_is_deterministic():
@@ -328,6 +344,19 @@ def test_enumerated_trees_are_distinct_split_sets():
         # 5 pendant splits ({1}..{4} plus the complement of {0}) and
         # 2 internal splits per trivalent tree on 5 leaves: 7 edges
         assert len(t) == 7
+
+
+def test_enumerated_trees_match_pinned_digests():
+    # sha256 of the sorted split sets, taken from an independent
+    # enumeration that grew adjacency lists and cut every edge
+    pins = {
+        6: "ca84562b6a868a2fa152585c88096b7fff6e2a01b63738b86919ecf7bca5d066",
+        7: "edbce768472ae70c9c6b927d0f86c82937187048e31b9d9d060e2d49395e9d35",
+    }
+    for leaves, digest in pins.items():
+        trees = enumerate_trivalent_trees(leaves)
+        text = repr(sorted(sorted(sorted(s) for s in t) for t in trees))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_boundary_divisor_canonical_form():

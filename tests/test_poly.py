@@ -183,6 +183,8 @@ def test_parse_rejects_garbage():
         parse_polynomial(R5, "")
     with pytest.raises(ValueError):
         parse_polynomial(R5, "a0 + ")
+    with pytest.raises(ValueError, match="1/0"):
+        parse_polynomial(R5, "1/0*a0")
 
 
 def test_cross_ring_arithmetic_rejected():
