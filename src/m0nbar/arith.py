@@ -15,12 +15,14 @@ _int_form, which clears the denominators of a mapping's values.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 RationalLike = Union["Rational", int]
 
 
+@total_ordering
 class Rational:
     """An exact rational number in canonical form."""
 
@@ -135,26 +137,14 @@ class Rational:
             return hash(self.num)
         return hash((self.num, self.den))
 
-    # denominators are positive, so cross multiplication keeps order
+    # denominators are positive, so cross multiplication keeps order;
+    # total_ordering derives <=, > and >= from this and __eq__
     def __lt__(self, other: RationalLike) -> bool:
         if isinstance(other, int):
             return self.num < other * self.den
+        if not isinstance(other, Rational):
+            return NotImplemented
         return self.num * other.den < other.num * self.den
-
-    def __le__(self, other: RationalLike) -> bool:
-        if isinstance(other, int):
-            return self.num <= other * self.den
-        return self.num * other.den <= other.num * self.den
-
-    def __gt__(self, other: RationalLike) -> bool:
-        if isinstance(other, int):
-            return self.num > other * self.den
-        return self.num * other.den > other.num * self.den
-
-    def __ge__(self, other: RationalLike) -> bool:
-        if isinstance(other, int):
-            return self.num >= other * self.den
-        return self.num * other.den >= other.num * self.den
 
     def __bool__(self) -> bool:
         return self.num != 0

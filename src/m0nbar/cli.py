@@ -36,7 +36,7 @@ from .poly import grevlex_order, lex_order, moduli_ring
 
 # inclusive n ranges per subcommand; None means unbounded above
 _RANGES = {"gen": (5, None), "saturate": (5, None),
-           "verify": (5, 7), "boundary": (4, None)}
+           "verify": (5, 8), "boundary": (4, None)}
 
 
 def _progress(done: int, remaining: int, basis_size: int) -> None:

@@ -462,6 +462,8 @@ def spolynomial(f: Polynomial, g: Polynomial,
 def contains(I: Ideal, f: Polynomial,
              order: MonomialOrder | None = None) -> bool:
     """Ideal membership via normal form against a cached Groebner basis."""
+    if f.ring != I.ring:
+        raise ValueError("polynomial from a different ring")
     if not f.terms:
         return True
     order = order or grevlex_order(I.ring)
@@ -471,6 +473,8 @@ def contains(I: Ideal, f: Polynomial,
 def equal_ideals(I: Ideal, J: Ideal,
                  order: MonomialOrder | None = None) -> bool:
     """Compare via reduced Groebner bases, which are canonical."""
+    if J.ring != I.ring:
+        raise ValueError("ideals live in different rings")
     order = order or grevlex_order(I.ring)
     return list(I.groebner_basis(order)) == list(J.groebner_basis(order))
 
@@ -519,6 +523,8 @@ def intersect(I: Ideal, J: Ideal,
     ring = I.ring
     if J.ring != ring:
         raise ValueError("ideals live in different rings")
+    if not (any(g.terms for g in I.gens) and any(g.terms for g in J.gens)):
+        return Ideal(ring, [])  # I & 0 = 0
     name = "_t"
     while name in ring.names:
         name += "_"
@@ -773,6 +779,8 @@ def graded_piece_dim(I: Ideal, degree: Sequence[int],
     degree = tuple(degree)
     ring = I.ring
     if method == "standard":
+        if not all(g.is_multihomogeneous() for g in I.gens):
+            raise ValueError("polynomial is not multihomogeneous")
         return _count_in(initial_ideal(I), degree)
     if method != "rank":
         raise ValueError(f"unknown method {method!r}")

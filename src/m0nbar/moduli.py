@@ -250,6 +250,8 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if n > 41:
+        raise ValueError("need n <= 41 distinct points in [-20, 20]")
     rng = random.Random(seed)
     eqs = cubic_generators(n) + quartic_equations(n)
     failures = []

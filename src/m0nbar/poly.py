@@ -13,9 +13,11 @@ order here a genuine monomial order (multiplicative, with 1 minimal).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import comb
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .arith import Rational
@@ -70,9 +72,6 @@ class RingSpec:
             out.append(sum(mono[start:start + size]))
             start += size
         return tuple(out)
-
-    def total_degree(self, mono: Monomial) -> int:
-        return sum(mono)
 
     # -- polynomial constructors --------------------------------------
 
@@ -235,15 +234,8 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            s = c if cur is None else cur + c
-            if s.num == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.ring, out)
+        return Polynomial.from_terms(
+            self.ring, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -269,18 +261,10 @@ class Polynomial:
             return NotImplemented
         if other.ring != self.ring:
             raise ValueError("polynomials from different rings")
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                cur = out.get(m)
-                s = c if cur is None else cur + c
-                if s.num == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(self.ring, out)
+        return Polynomial.from_terms(
+            self.ring, ((tuple(map(add, m1, m2)), c1 * c2)
+                        for m1, c1 in self.terms.items()
+                        for m2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -330,9 +314,7 @@ class Polynomial:
         return len(degs) <= 1
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(self.ring.total_degree(m) for m in self.terms)
+        return max(map(sum, self.terms), default=-1)
 
     def evaluate(self, values: Sequence[Coefficient]) -> Rational:
         """Value at a point, one coordinate per ring variable."""
@@ -364,7 +346,7 @@ def _compositions(total: int, parts: int) -> Iterator:
         if total == 0:
             yield ()
         return
-    if parts == 1:
+    if parts == 1 and total >= 0:
         yield (total,)
         return
     for first in range(total, -1, -1):
@@ -373,6 +355,10 @@ def _compositions(total: int, parts: int) -> Iterator:
 
 
 def count_monomials_of_multidegree(ring: RingSpec, degree: Sequence[int]) -> int:
+    if len(degree) != ring.nblocks:
+        raise ValueError("degree vector length does not match block count")
+    if any(d < 0 for d in degree):
+        return 0
     out = 1
     for d, s in zip(degree, ring.block_sizes):
         out *= comb(d + s - 1, s - 1)
@@ -435,27 +421,16 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
         raise ValueError("empty polynomial text")
     if s == "0":
         return ring.zero()
-    # split into signed terms
-    terms: list = []
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        s = s[1:]
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur and cur[-1] != "/":
-            terms.append((sign, cur))
-            sign = -1 if ch == "-" else 1
-            cur = ""
-        else:
-            cur += ch
-    if not cur:
-        raise ValueError("dangling sign in polynomial text")
-    terms.append((sign, cur))
-
+    if s[0] not in "+-":
+        s = "+" + s
+    # [sign, term, sign, term, ...] after the empty text before the first
+    # sign; a sign right after '/' belongs to the denominator
+    parts = re.split(r"(?<!/)([+-])", s)
     pairs = []
-    for sgn, term in terms:
-        coeff = Rational(sgn)
+    for sgn, term in zip(parts[1::2], parts[2::2]):
+        if not term:
+            raise ValueError("dangling sign in polynomial text")
+        coeff = Rational(-1 if sgn == "-" else 1)
         mono = [0] * ring.nvars
         for factor in term.split("*"):
             if not factor:

@@ -67,6 +67,23 @@ def test_order_compatible_with_subtraction(a, b):
     assert (a < b) != (a >= b)
 
 
+@given(rationals, ints)
+def test_order_against_ints_on_either_side(a, k):
+    for x, y in ((a, k), (k, a)):
+        d = y - x
+        assert (x < y) == (d.num > 0)
+        assert (x <= y) == (d.num >= 0)
+        assert (x > y) == (d.num < 0)
+        assert (x >= y) == (d.num <= 0)
+
+
+def test_order_rejects_foreign_types():
+    with pytest.raises(TypeError):
+        Rational(1) < 0.5
+    with pytest.raises(TypeError):
+        0.5 >= Rational(1, 3)
+
+
 @given(rationals)
 def test_matches_stdlib_fractions(a):
     f = Fraction(a.num, a.den)

@@ -76,7 +76,7 @@ def test_gen_usage_error_below_range(capsys):
 
 def test_verify_usage_error_above_range(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "8"])
+        main(["verify", "9"])
     assert exc.value.code == 2
 
 
@@ -154,6 +154,17 @@ def test_verify_n7_counts(capsys):
     assert "quartic count=6 (expected 6): pass" in out
     for d in (3, 4, 5):
         assert f"count identity d={d}" in out
+
+
+def test_verify_n8_counts(capsys):
+    code, out, _ = run(capsys, "verify", "8", "--trials", "2")
+    assert code == 0
+    assert "cubic count=35 (expected 35): pass" in out
+    assert "quartic count=21 (expected 21): pass" in out
+    for d in (3, 4, 5, 6):
+        assert f"count identity d={d}: " in out
+    assert "vanishing: 112 evaluations, 0 nonzero: pass" in out
+    assert "result: 7/7 checks passed" in out
 
 
 def test_verify_stdout_is_deterministic(capsys):

@@ -196,6 +196,11 @@ def test_contains_and_equal():
     assert Z.groebner_basis() == ()
     assert not contains(Z, P(XY, "x"))
     assert equal_ideals(Z, Ideal(XY, [XY.zero()]))
+    # the zero shortcuts still check the ring
+    with pytest.raises(ValueError, match="ring"):
+        contains(Ideal(XY, [P(XY, "x")]), moduli_ring(6).zero())
+    with pytest.raises(ValueError, match="ring"):
+        equal_ideals(Z, Ideal(moduli_ring(6), []))
 
 
 def test_groebner_cache():
@@ -258,6 +263,10 @@ def test_intersection():
     assert [str(g) for g in K.gens] == ["x*y"]
     # intersection with itself
     assert equal_ideals(intersect(I, I), I)
+    # I & 0 = 0, whichever side is zero
+    Z = Ideal(XYZ, [])
+    for A, B in ((I, Z), (Z, I), (Z, Z), (Ideal(XYZ, [XYZ.zero()]), Z)):
+        assert intersect(A, B).groebner_basis() == ()
 
 
 def test_saturate_by_block():
@@ -431,6 +440,11 @@ def test_graded_piece_dim_both_methods():
     assert graded_piece_dim(I5, (1, 2), "standard") == 1
     assert graded_piece_dim(I5, (1, 2), "rank") == 1
     assert graded_piece_dim(I5, (0, 2), "rank") == 0
+    # neither method answers for an inhomogeneous ideal
+    inhom = Ideal(XY, [P(XY, "x + y^2")])
+    for method in ("standard", "rank"):
+        with pytest.raises(ValueError, match="not multihomogeneous"):
+            graded_piece_dim(inhom, (2,), method)
 
 
 def test_graded_invariants_in_degree_zero():

@@ -212,6 +212,18 @@ def test_vanishing_needs_a_trial():
             vanishing_test(5, trials=trials)
 
 
+def test_vanishing_rejects_more_points_than_the_range_holds(monkeypatch):
+    # 41 integers in [-20, 20]; the check comes before any equation is built
+    import m0nbar.moduli as moduli
+
+    def no_equations(n):
+        raise AssertionError("built equations for an impossible n")
+
+    monkeypatch.setattr(moduli, "cubic_generators", no_equations)
+    with pytest.raises(ValueError, match="41"):
+        vanishing_test(42, trials=1)
+
+
 def test_vanishing_is_deterministic():
     a = vanishing_test(5, trials=3, seed=42)
     b = vanishing_test(5, trials=3, seed=42)

@@ -121,6 +121,15 @@ def test_monomials_of_multidegree_counts():
     assert len(set(monos)) == 60
     for m in monos:
         assert R6.multidegree(m) == (1, 1, 2)
+    # counter and enumerator agree on malformed degree vectors too
+    for f in (count_monomials_of_multidegree, monomials_of_multidegree):
+        with pytest.raises(ValueError, match="block count"):
+            f(R6, (1,))
+    assert count_monomials_of_multidegree(R6, (-3, 1, 1)) == 0
+    assert monomials_of_multidegree(R6, (-3, 1, 1)) == []
+    X = polynomial_ring(["x"])
+    assert count_monomials_of_multidegree(X, (-1,)) == 0
+    assert monomials_of_multidegree(X, (-1,)) == []
 
 
 # -- arithmetic ----------------------------------------------------------
@@ -185,6 +194,13 @@ def test_parse_rejects_garbage():
         parse_polynomial(R5, "a0 + ")
     with pytest.raises(ValueError, match="1/0"):
         parse_polynomial(R5, "1/0*a0")
+    with pytest.raises(ValueError):
+        parse_polynomial(R5, "a0++b0")
+
+
+def test_parse_keeps_a_sign_after_slash_in_the_denominator():
+    assert (parse_polynomial(R5, "1/-2*a0")
+            == parse_polynomial(R5, "-1/2*a0"))
 
 
 def test_cross_ring_arithmetic_rejected():
