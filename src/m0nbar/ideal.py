@@ -396,6 +396,8 @@ class Ideal:
                        progress: Progress | None = None) -> tuple:
         if order is None:
             order = grevlex_order(self.ring)
+        if order.ring != self.ring:
+            raise ValueError("order from a different ring")
         cached = self._gb.get(order)
         if cached is None:
             cached = ()  # the basis of the zero ideal
@@ -459,24 +461,20 @@ def spolynomial(f: Polynomial, g: Polynomial,
     return mf * f - mg * g
 
 
-def contains(I: Ideal, f: Polynomial,
-             order: MonomialOrder | None = None) -> bool:
-    """Ideal membership via normal form against a cached Groebner basis."""
+def contains(I: Ideal, f: Polynomial) -> bool:
+    """Ideal membership via normal form against the grevlex basis."""
     if f.ring != I.ring:
         raise ValueError("polynomial from a different ring")
     if not f.terms:
         return True
-    order = order or grevlex_order(I.ring)
-    return not normal_form(f, I.groebner_basis(order), order).terms
+    return not normal_form(f, I.groebner_basis(), grevlex_order(I.ring)).terms
 
 
-def equal_ideals(I: Ideal, J: Ideal,
-                 order: MonomialOrder | None = None) -> bool:
-    """Compare via reduced Groebner bases, which are canonical."""
+def equal_ideals(I: Ideal, J: Ideal) -> bool:
+    """Compare via reduced grevlex Groebner bases, which are canonical."""
     if J.ring != I.ring:
         raise ValueError("ideals live in different rings")
-    order = order or grevlex_order(I.ring)
-    return list(I.groebner_basis(order)) == list(J.groebner_basis(order))
+    return I.groebner_basis() == J.groebner_basis()
 
 
 # -- elimination, saturation, intersection --------------------------------
@@ -502,8 +500,8 @@ def saturate_by_variable(I: Ideal, var: str | int,
     if not any(g.terms for g in I.gens):
         return I
     idx = ring.index(var) if isinstance(var, str) else var
-    perm = [i for i in range(ring.nvars) if i != idx] + [idx]
-    gb = buchberger(I.gens, MonomialOrder(ring, "grevlex", perm), progress)
+    others = [i for i in range(ring.nvars) if i != idx]
+    gb = buchberger(I.gens, MonomialOrder(ring, [others + [idx]]), progress)
     powers = [min(m[idx] for m in g.terms) for g in gb]
     if not any(powers):
         return I
@@ -548,7 +546,9 @@ def saturate_by_block(I: Ideal, block: int,
     the intersection of the single-variable saturations over the block's
     variables, taken in ring order.  As soon as one of them is I itself,
     returns I with no intersection: I <= I : B^infinity <= I : x^infinity
-    for every x in B."""
+    for every x in B.  Raises ValueError unless 0 <= block < nblocks."""
+    if not 0 <= block < I.ring.nblocks:
+        raise ValueError(f"no block {block} among {I.ring.nblocks}")
     start, stop = I.ring.block_slices()[block]
     parts = []
     for v in range(start, stop):
@@ -679,14 +679,14 @@ def hilbert_numerator(M: MonomialIdeal) -> list:
     return list(_hilbert_numerator(M.gens, {}))
 
 
-def hilbert_degree(I: Ideal, order: MonomialOrder | None = None) -> tuple:
+def hilbert_degree(I: Ideal) -> tuple:
     """(codimension, degree) of R/I under the flattened total grading.
 
-    Computed from the initial ideal: the Hilbert series numerator N(T)
-    has (1-T)-multiplicity equal to the codimension, and evaluating the
-    cofactor at T=1 gives the degree.
+    Computed from the grevlex initial ideal: the Hilbert series numerator
+    N(T) has (1-T)-multiplicity equal to the codimension, and evaluating
+    the cofactor at T=1 gives the degree.
     """
-    N = hilbert_numerator(initial_ideal(I, order))
+    N = hilbert_numerator(initial_ideal(I))
     if not any(N):
         raise ValueError("unit ideal has no degree")
     codim = 0

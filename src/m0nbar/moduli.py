@@ -133,9 +133,17 @@ def quartic_tuples(n: int) -> list:
                   key=lambda t: t[::-1])
 
 
+def _quartic_indices(n: int, tup: Sequence[int]) -> tuple:
+    """tup, checked against 0 <= i < j <= k < l < m <= n-3."""
+    i, j, k, l, m = tup
+    if not 0 <= i < j <= k < l < m <= n - 3:
+        raise ValueError(f"{tuple(tup)} is no quartic index tuple at n={n}")
+    return i, j, k, l, m
+
+
 def quartic_equation(n: int, tup: Sequence[int]) -> Polynomial:
     """The six-term quartic generator for one index tuple."""
-    i, j, k, l, m = tup
+    i, j, k, l, m = _quartic_indices(n, tup)
     ring = moduli_ring(n)
     w = _block_var
     return _canonical_sign(
@@ -152,7 +160,7 @@ def quartic_raw_form(n: int, tup: Sequence[int]) -> Polynomial:
     combination of products of block coordinates that vanish on the
     cross-ratio locus.  Differs from quartic_equation by an element of
     the cubic ideal."""
-    i, j, k, l, m = tup
+    i, j, k, l, m = _quartic_indices(n, tup)
     ring = moduli_ring(n)
     w = _block_var
     ik, jk = w(ring, k, i), w(ring, k, j)

@@ -41,6 +41,8 @@ class RingSpec:
     names: tuple
 
     def __post_init__(self):
+        if any(size < 1 for size in self.block_sizes):
+            raise ValueError("every block needs at least one variable")
         if sum(self.block_sizes) != len(self.names):
             raise ValueError("block sizes do not match name count")
         if len(set(self.names)) != len(self.names):
@@ -125,75 +127,59 @@ def polynomial_ring(names: Sequence[str],
 
 
 class MonomialOrder:
-    """A monomial order given by flat, additive integer key tuples.
+    """A monomial order given by a list of grevlex blocks.
 
-    kind "lex" or "grevlex", optionally preceded by an elimination block
-    of the first `elim` variables (in permuted priority order): monomials
-    are compared by grevlex on the elimination block first, then grevlex
-    on the rest.  perm lists variable indices from highest priority to
-    lowest; the default is ring order (a0 > a1 > b0 > ...).
+    blocks lists variable indices, highest priority first; the default is
+    one block in ring order (a0 > a1 > b0 > ...).  Monomials compare by
+    grevlex on the first block, then the next block breaks ties, so lex
+    is every variable in a block of its own.  A block's part of the flat,
+    additive integer key is its degree, then minus its exponents from the
+    last variable back to the second (the degree fixes the first).
     """
 
-    def __init__(self, ring: RingSpec, kind: str = "grevlex",
-                 perm: Sequence[int] | None = None, elim: int = 0) -> None:
-        if kind not in ("lex", "grevlex"):
-            raise ValueError(f"unknown order kind {kind!r}")
+    def __init__(self, ring: RingSpec,
+                 blocks: Sequence[Sequence[int]] | None = None) -> None:
+        if blocks is None:
+            blocks = [range(ring.nvars)]
         self.ring = ring
-        self.kind = kind
-        self.perm = tuple(perm) if perm is not None else tuple(range(ring.nvars))
-        if sorted(self.perm) != list(range(ring.nvars)):
-            raise ValueError("perm must be a permutation of all variables")
-        self.elim = elim
+        self.blocks = tuple(tuple(b) for b in blocks)
+        if (not all(self.blocks)
+                or sorted(chain(*self.blocks)) != list(range(ring.nvars))):
+            raise ValueError("blocks must be nonempty and hold every "
+                             "variable exactly once")
 
     def key(self, mono: Monomial) -> tuple:
         """Order key; bigger key = bigger monomial. Additive in mono."""
-        pe = [mono[p] for p in self.perm]
-        head, tail = pe[:self.elim], pe[self.elim:]
         parts: list = []
-        if head:
-            parts.append(sum(head))
-            parts.extend(-e for e in reversed(head))
-        if self.kind == "lex":
-            parts.extend(tail)
-        else:
-            parts.append(sum(tail))
-            parts.extend(-e for e in reversed(tail))
+        for block in self.blocks:
+            parts.append(sum([mono[i] for i in block]))
+            parts.extend([-mono[i] for i in block[:0:-1]])
         return tuple(parts)
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
-    def sorted(self, monos: Iterable[Monomial], reverse: bool = False) -> list:
-        return sorted(monos, key=self.key, reverse=reverse)
-
-    def _ident(self) -> tuple:
-        return (self.kind, self.perm, self.elim, self.ring)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, MonomialOrder) and self._ident() == other._ident()
+        return (isinstance(other, MonomialOrder) and self.ring == other.ring
+                and self.blocks == other.blocks)
 
     def __hash__(self) -> int:
-        return hash(self._ident())
+        return hash((self.ring, self.blocks))
 
     def __repr__(self) -> str:
-        e = f", elim={self.elim}" if self.elim else ""
-        return f"MonomialOrder({self.kind}{e})"
+        return f"MonomialOrder({[list(b) for b in self.blocks]})"
 
 
 def lex_order(ring: RingSpec) -> MonomialOrder:
-    return MonomialOrder(ring, "lex")
+    return MonomialOrder(ring, [[i] for i in range(ring.nvars)])
 
 
 def grevlex_order(ring: RingSpec) -> MonomialOrder:
-    return MonomialOrder(ring, "grevlex")
+    return MonomialOrder(ring)
 
 
 def elimination_order(ring: RingSpec, front: Sequence[int]) -> MonomialOrder:
     """Order eliminating the variables with indices in `front`: any
     monomial involving one of them beats any monomial in the rest."""
-    front = list(front)
     rest = [i for i in range(ring.nvars) if i not in front]
-    return MonomialOrder(ring, "grevlex", front + rest, elim=len(front))
+    return MonomialOrder(ring, [b for b in (list(front), rest) if b])
 
 
 class Polynomial:

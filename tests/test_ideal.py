@@ -31,6 +31,7 @@ from m0nbar.ideal import (
 )
 from m0nbar.ideal import _Overflow, _Packer
 from m0nbar.poly import (
+    MonomialOrder,
     Polynomial,
     elimination_order,
     grevlex_order,
@@ -162,6 +163,8 @@ def test_packed_monomials():
     lambda ring: elimination_order(ring, [2]),
     lambda ring: elimination_order(polynomial_ring(ring.names + ("t",)),
                                    [ring.nvars]),
+    lambda ring: MonomialOrder(ring, [[2], [0, 1]]),
+    lambda ring: MonomialOrder(ring, [[1, 0], [2]]),
 ])
 def test_int_keys_order_like_tuple_keys(make_order):
     order = make_order(XYZ)
@@ -208,6 +211,18 @@ def test_groebner_cache():
     order = lex_order(XY)
     assert I.groebner_basis(order) is I.groebner_basis(order)
     assert I.groebner_basis(order) is not I.groebner_basis(grevlex_order(XY))
+
+
+@pytest.mark.parametrize("gens", [[], ["x*y - 1"]])
+def test_groebner_basis_rejects_an_order_from_another_ring(gens):
+    I = Ideal(XY, [P(XY, g) for g in gens])
+    for order in (grevlex_order(moduli_ring(6)), lex_order(XYZ)):
+        with pytest.raises(ValueError, match="ring"):
+            I.groebner_basis(order)
+        with pytest.raises(ValueError, match="ring"):
+            initial_ideal(I, order)
+    # nothing was cached under the foreign orders
+    assert list(I._gb) == []
 
 
 # -- saturation and intersection -----------------------------------------
@@ -277,6 +292,14 @@ def test_saturate_by_block():
     # saturating by c0 divides it out of both generators
     T = saturate_by_block(I, 1)
     assert equal_ideals(T, Ideal(ring, [P(ring, "a0"), P(ring, "a1")]))
+
+
+@pytest.mark.parametrize("block", [-1, 2, 5])
+def test_saturate_by_block_rejects_a_missing_block(block):
+    ring = polynomial_ring(["a0", "a1", "c0"], block_sizes=(2, 1))
+    I = Ideal(ring, [P(ring, "a0*c0"), P(ring, "a1*c0")])
+    with pytest.raises(ValueError, match="block"):
+        saturate_by_block(I, block)
 
 
 def test_saturation_rejects_inhomogeneous_input():

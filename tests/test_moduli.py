@@ -135,6 +135,22 @@ def test_quartic_tuples_order():
     assert quartic_tuples(8)[:7] == quartic_tuples(7) + [(0, 1, 1, 2, 5)]
 
 
+@pytest.mark.parametrize("tup", [
+    (0, 0, 0, 1, 2),   # i = j, and block 0 does not exist
+    (0, 1, 2, 3, 9),   # m beyond the last block
+    (0, 1, 2, 3, 5),   # m = n - 2
+    (1, 1, 1, 2, 3),   # i = j
+    (0, 2, 1, 2, 3),   # j > k
+    (0, 1, 2, 2, 3),   # k = l
+    (0, 1, 1, 3, 3),   # l = m
+    (-1, 1, 1, 2, 3),  # i < 0
+])
+def test_quartic_rejects_a_bad_tuple(tup):
+    for build in (quartic_equation, quartic_raw_form):
+        with pytest.raises(ValueError, match="quartic index tuple"):
+            build(7, tup)
+
+
 def test_generators_are_multihomogeneous():
     for n in (5, 6, 7):
         for g in cubic_generators(n):

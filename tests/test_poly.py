@@ -1,5 +1,7 @@
 """Tests for rings, monomial orders, and sparse polynomial arithmetic."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,12 @@ def test_moduli_ring_layout():
         moduli_ring(4)
 
 
+@pytest.mark.parametrize("sizes", [(3, -1), (2, 0), (0, 2)])
+def test_ring_rejects_empty_blocks(sizes):
+    with pytest.raises(ValueError, match="block"):
+        polynomial_ring(["x", "y"], sizes)
+
+
 def test_multidegree():
     p = P(R6, "a0*b1*c2^2")
     assert p.multidegree() == (1, 1, 2)
@@ -57,7 +65,7 @@ def test_multidegree():
 
 def sorted_names(ring, order, monos):
     return [format_polynomial(Polynomial(ring, {m: Rational(1)}))
-            for m in order.sorted(monos, reverse=True)]
+            for m in sorted(monos, key=order.key, reverse=True)]
 
 
 def test_lex_vs_grevlex():
@@ -71,8 +79,8 @@ def test_lex_vs_grevlex():
     x, y = XYZ.index("x"), XYZ.index("y")
     mx = tuple(1 if i == x else 0 for i in range(3))
     my5 = tuple(5 if i == y else 0 for i in range(3))
-    assert lex.greater(mx, my5)
-    assert grev.greater(my5, mx)
+    assert lex.key(mx) > lex.key(my5)
+    assert grev.key(my5) > grev.key(mx)
 
 
 def test_elimination_order_property():
@@ -81,21 +89,85 @@ def test_elimination_order_property():
     order = elimination_order(ext, [3])
     t = ext.var("t").leading_monomial(order)
     x5 = (ext.var("x") ** 5).leading_monomial(order)
-    assert order.greater(t, x5)
+    assert order.key(t) > order.key(x5)
     # t-free monomials compare as under grevlex on x, y, z
     monos = [m for d in range(4)
              for m in monomials_of_multidegree(XYZ, (d,))]
-    assert ([m + (0,) for m in grevlex_order(XYZ).sorted(monos)]
-            == order.sorted(m + (0,) for m in monos))
+    assert ([m + (0,) for m in sorted(monos, key=grevlex_order(XYZ).key)]
+            == sorted((m + (0,) for m in monos), key=order.key))
+
+
+def test_orders_are_block_lists():
+    assert lex_order(XYZ) == MonomialOrder(XYZ, [[0], [1], [2]])
+    assert grevlex_order(XYZ) == MonomialOrder(XYZ, [[0, 1, 2]])
+    assert elimination_order(XYZ, [2]) == MonomialOrder(XYZ, [[2], [0, 1]])
+    assert elimination_order(XYZ, [0, 1, 2]) == grevlex_order(XYZ)
+    assert hash(lex_order(XYZ)) == hash(MonomialOrder(XYZ, [[0], [1], [2]]))
+    assert lex_order(XYZ) != grevlex_order(XYZ)
+    assert repr(elimination_order(XYZ, [2])) == "MonomialOrder([[2], [0, 1]])"
+    # a one-variable block compares its exponent
+    assert lex_order(XYZ).key((1, 2, 3)) == (1, 2, 3)
+    assert grevlex_order(XYZ).key((1, 2, 3)) == (6, -3, -2)
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [], [2]],     # empty block
+    [[0, 1], [1, 2]],      # repeated variable
+    [[0, 2]],              # missing variable
+    [[0, 1, 2, 3]],        # not a variable of the ring
+])
+def test_order_rejects_bad_blocks(blocks):
+    with pytest.raises(ValueError):
+        MonomialOrder(XYZ, blocks)
+
+
+def _ordered_partitions(items):
+    """Every ordered partition of items into nonempty blocks, the
+    variables of each block in every order: for x, y, z, the 24 ways to
+    cut a permutation, lex and one block among them."""
+    if not items:
+        yield []
+        return
+    for size in range(1, len(items) + 1):
+        for head in permutations(items, size):
+            rest = [v for v in items if v not in head]
+            for tail in _ordered_partitions(rest):
+                yield [list(head)] + tail
+
+
+BLOCK_LAYOUTS = list(_ordered_partitions([0, 1, 2]))
+
+
+def _block_grevlex_greater(blocks, a, b):
+    """Textbook comparison: the first block where a and b differ decides;
+    there the larger degree wins, then the smaller exponent at the last
+    variable of the block where they differ."""
+    for block in blocks:
+        ea, eb = [a[i] for i in block], [b[i] for i in block]
+        if ea != eb:
+            if sum(ea) != sum(eb):
+                return sum(ea) > sum(eb)
+            last = max(j for j in range(len(ea)) if ea[j] != eb[j])
+            return ea[last] < eb[last]
+    return False
+
+
+@pytest.mark.parametrize("blocks", BLOCK_LAYOUTS)
+def test_orders_compare_blockwise_by_grevlex(blocks):
+    order = MonomialOrder(XYZ, blocks)
+    monos = [m for d in range(4) for m in monomials_of_multidegree(XYZ, (d,))]
+    for a in monos:
+        for b in monos:
+            assert ((order.key(a) > order.key(b))
+                    == _block_grevlex_greater(blocks, a, b))
 
 
 mono3 = st.tuples(*(st.integers(min_value=0, max_value=6) for _ in range(3)))
 
 
-@given(mono3, mono3, mono3,
-       st.sampled_from(["lex", "grevlex"]), st.integers(0, 2))
-def test_order_axioms(a, b, m, kind, elim):
-    order = MonomialOrder(XYZ, kind, elim=elim)
+@given(mono3, mono3, mono3, st.sampled_from(BLOCK_LAYOUTS))
+def test_order_axioms(a, b, m, blocks):
+    order = MonomialOrder(XYZ, blocks)
     one = (0, 0, 0)
     prod = tuple(x + y for x, y in zip(a, m))
     prod_b = tuple(x + y for x, y in zip(b, m))
@@ -103,9 +175,10 @@ def test_order_axioms(a, b, m, kind, elim):
     assert (order.key(a) > order.key(b)) + (order.key(a) < order.key(b)) + (a == b) == 1
     # 1 is minimal
     if a != one:
-        assert order.greater(a, one)
+        assert order.key(a) > order.key(one)
     # multiplicative
-    assert order.greater(prod, prod_b) == order.greater(a, b)
+    assert ((order.key(prod) > order.key(prod_b))
+            == (order.key(a) > order.key(b)))
 
 
 # -- monomial enumeration ------------------------------------------------
@@ -214,12 +287,13 @@ def test_cross_ring_arithmetic_rejected():
         p * q
 
 
-@given(small_polys(), small_polys(), st.sampled_from(["lex", "grevlex"]))
+@given(small_polys(), small_polys(),
+       st.sampled_from([lex_order, grevlex_order]))
 @settings(max_examples=150)
-def test_leading_term_of_product(p, q, kind):
+def test_leading_term_of_product(p, q, make_order):
     if p.is_zero() or q.is_zero():
         return
-    order = MonomialOrder(R5, kind)
+    order = make_order(R5)
     lp, lq = p.leading_monomial(order), q.leading_monomial(order)
     # no zero divisors over the rationals, so leads multiply
     assert (p * q).leading_monomial(order) == tuple(
