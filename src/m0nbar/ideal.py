@@ -5,18 +5,19 @@ Division and Buchberger's algorithm run on integer polynomials
 denominator is tracked so that normal_form still returns the true
 rational remainder.
 
-Inside the engine a monomial is one Python int: each exponent has a
-fixed-width field whose top bit is a guard, so a product is one add and
-divisibility is one subtract and mask (Monagan-Pearce packed exponent
-vectors).  The field width comes from the input's exponents; a product
-that reaches a guard bit aborts the run, which restarts with fields
-twice as wide, so exponents never wrap.  The order key of a monomial is
-one int too, a linear function of the exponents whose per-variable
-weights are derived from MonomialOrder, so keys also add and compare
-like MonomialOrder.key.  Polynomials outside the engine keep their
-exponent tuples: they are packed on entry and unpacked on output.
+Inside the engine a monomial is one Python int and a polynomial one
+dict {monomial: coefficient}.  The int holds the monomial's exponents in
+its low fixed-width fields and its order digits (prefix sums of
+MonomialOrder.key) in the fields above them, and the top bit of every
+field is a guard (Monagan-Pearce packed exponent vectors).  So ints
+compare like the order, a product is one add, and divisibility is one
+subtract and mask.  The field width comes from the input's largest total
+degree; a product that reaches a guard bit aborts the run, which
+restarts with fields twice as wide, so fields never wrap.  Polynomials
+outside the engine keep their exponent tuples: they are packed on entry
+and unpacked on output.
 
-The S-pair queue is a heap ordered by (lcm total degree, lcm order key,
+The S-pair queue is a heap ordered by (lcm total degree, packed lcm,
 i, j), the normal selection strategy, and the Gebauer-Moller update
 implements Buchberger's coprimality and chain criteria.  Public Groebner
 bases are reduced, monic, and sorted by ascending leading monomial, so
@@ -35,6 +36,7 @@ initial ideal or from exact matrix ranks.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import gcd
 from operator import le, lshift, mul, sub
 from typing import Callable, Iterable, Sequence
@@ -57,154 +59,144 @@ Progress = Callable[[int, int, int], None]
 
 
 class _Overflow(Exception):
-    """An exponent outgrew its packed field."""
+    """A monomial outgrew its packed fields."""
 
 
 class _Packer:
-    """Exponent tuples of one ring packed into ints, with int order keys.
+    """Monomials of one ring under one order packed into ints.
 
-    Exponent v sits in bits [v*width, (v+1)*width).  The top bit of every
-    field is a guard that is 0 in every valid monomial, so a product is
-    one add, d divides m iff (m - d) & guard == 0, and a product with a
-    guard bit set has overflowed.  The order key of a monomial is the dot
-    product of its exponents with one int weight per variable: the
-    weight is MonomialOrder's key tuple of that variable read as digits
-    in a radix big enough that comparing ints compares the tuples.
+    A packed monomial holds exponent v in bits [v*width, (v+1)*width) and
+    above those nvars fields its nvars order digits, the prefix sums of
+    MonomialOrder.key, first digit highest.  The prefix sums change the
+    key by a triangular map with unit diagonal, so ints compare like
+    keys; every digit is a 0/1 sum of exponents, so it lies between 0
+    and the total degree, and fields that hold the total degree hold
+    every digit.  pack is a dot product with one weight per variable, a
+    product is one add, and d divides m iff (m - d) & guard == 0: the
+    digits of m are at least those of d whenever its exponents are.  The
+    top bit of every field is a guard that is 0 in every valid monomial,
+    so a product with a guard bit set has overflowed.
     """
 
-    __slots__ = ("width", "guard", "mask", "shifts", "weights")
+    __slots__ = ("width", "guard", "mask", "low", "shifts", "weights")
 
     def __init__(self, order: MonomialOrder, width: int) -> None:
         nv = order.ring.nvars
         self.width = width
         self.shifts = tuple(range(0, nv * width, width))
         self.mask = (1 << (width - 1)) - 1
-        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-        # a key digit is a signed sum of at most nv exponents, each at
-        # most mask, so its absolute value stays below half the radix
-        bits = width + nv.bit_length()
-        units = [order.key(tuple(int(u == v) for u in range(nv)))
-                 for v in range(nv)]
-        top = len(units[0]) - 1
-        self.weights = tuple(sum(d << (bits * (top - j))
-                                 for j, d in enumerate(unit))
-                             for unit in units)
+        self.low = (1 << nv * width) - 1
+        self.guard = sum(1 << (s + width - 1)
+                         for s in range(0, 2 * nv * width, width))
+        # order digit j of the nv digits sits in field 2*nv - 1 - j
+        units = [tuple(int(u == v) for u in range(nv)) for v in range(nv)]
+        self.weights = tuple(
+            (1 << s) + sum(d << width * (2 * nv - 1 - j)
+                           for j, d in enumerate(accumulate(order.key(unit))))
+            for s, unit in zip(self.shifts, units))
 
     def pack(self, mono: Monomial) -> int:
-        if max(mono, default=0) > self.mask:
+        if sum(mono) > self.mask:
             raise _Overflow
-        return sum(map(lshift, mono, self.shifts))
+        return sum(map(mul, mono, self.weights))
 
     def unpack(self, m: int) -> Monomial:
         mask = self.mask
         return tuple(m >> s & mask for s in self.shifts)
 
-    def key(self, mono: Monomial) -> int:
-        return sum(map(mul, mono, self.weights))
-
     def lcm(self, a: int, b: int) -> int:
-        """Componentwise maximum of two packed monomials."""
+        """Fieldwise maximum of two packed monomials; its exponent fields
+        hold their lcm."""
         ge = ((a | self.guard) - b) & self.guard  # fields where a >= b
         sel = ge - (ge >> (self.width - 1))
         return (a & sel) | (b & ~sel)
 
     def poly(self, p: Polynomial) -> tuple:
-        """(num, monos, scale): num maps the order key of each monomial of
-        scale*p to its integer coefficient, monos maps it to the packed
-        monomial, and scale > 0 is the least common denominator of p."""
+        """(num, scale): num maps each packed monomial of scale*p to its
+        integer coefficient, and scale > 0 is the least common
+        denominator of p."""
         terms, scale = _int_form(p.terms)
-        num: dict = {}
-        monos: dict = {}
-        for mono, c in terms.items():
-            k = self.key(mono)
-            num[k] = c
-            monos[k] = self.pack(mono)
-        return num, monos, scale
+        pack = self.pack
+        return {pack(mono): c for mono, c in terms.items()}, scale
 
-    def gen(self, num: dict, monos: dict) -> "_Gen":
-        """Basis element with the terms num (keys into monos)."""
-        lk = max(num)
-        lm = monos[lk]
-        tail = [(monos[k], k, c) for k, c in num.items() if k != lk]
+    def gen(self, num: dict) -> "_Gen":
+        """Basis element with the terms num."""
+        lm = max(num)
+        tail = [(m, c) for m, c in num.items() if m != lm]
         top = lm
-        for m, _, _ in tail:
+        for m, _ in tail:
             top = self.lcm(top, m)
-        return _Gen(lm, lk, num[lk], tail, top)
+        return _Gen(lm, num[lm], tail, top)
 
-    def polynomial(self, ring: RingSpec, num: dict, monos: dict,
-                   den: int) -> Polynomial:
-        """The Polynomial sum of num[k]/den * monos[k]."""
+    def polynomial(self, ring: RingSpec, num: dict, den: int) -> Polynomial:
+        """The Polynomial sum of num[m]/den * m."""
         unpack = self.unpack
-        return Polynomial(ring, {unpack(monos[k]): Rational(c, den)
-                                 for k, c in num.items()})
+        return Polynomial(ring, {unpack(m): Rational(c, den)
+                                 for m, c in num.items()})
 
 
 def _width(polys: Iterable[Polynomial]) -> int:
-    """Field width with room for twice the largest exponent in polys."""
-    top = max((e for p in polys for m in p.terms for e in m), default=0)
+    """Field width with room for twice the largest total degree in polys."""
+    top = max((sum(m) for p in polys for m in p.terms), default=0)
     return max(8, (2 * top).bit_length() + 1)
 
 
 class _Gen:
-    """Basis element: packed leading monomial lm with order key lk and
-    coefficient lc, tail terms (monomial, key, coefficient), and top, the
-    componentwise maximum of all its monomials (a shift s keeps every
-    product in range iff top + s has no guard bit set)."""
+    """Basis element: packed leading monomial lm with coefficient lc,
+    tail terms (monomial, coefficient), and top, the fieldwise maximum
+    of all its monomials (a shift s keeps every product in range iff
+    top + s has no guard bit set)."""
 
-    __slots__ = ("lm", "lk", "lc", "tail", "top")
+    __slots__ = ("lm", "lc", "tail", "top")
 
-    def __init__(self, lm: int, lk: int, lc: int, tail: list,
-                 top: int) -> None:
+    def __init__(self, lm: int, lc: int, tail: list, top: int) -> None:
         self.lm = lm
-        self.lk = lk
         self.lc = lc
         self.tail = tail
         self.top = top
 
 
-def _normalized_gen(num: dict, monos: dict, packer: _Packer) -> _Gen:
+def _normalized_gen(num: dict, packer: _Packer) -> _Gen:
     """Content-free basis element with a positive leading coefficient."""
     _strip_content(num)
     if num[max(num)] < 0:
-        for k in num:
-            num[k] = -num[k]
-    return packer.gen(num, monos)
+        for m in num:
+            num[m] = -num[m]
+    return packer.gen(num)
 
 
-def _reduce(num: dict, monos: dict, gens: Sequence[_Gen], guard: int,
-            first: dict, den: int = 1) -> tuple:
+def _reduce(num: dict, gens: Sequence[_Gen], guard: int, first: dict,
+            den: int = 1) -> tuple:
     """Fully reduce the integer polynomial `num` (consumed) modulo gens.
 
-    num maps order keys to coefficients and monos maps them to packed
-    monomials; monos gains the monomials of every term created.  Returns
-    (remainder, den): remainder/den is the exact rational remainder of
-    the input num/den.  No term of the remainder is divisible by any
-    generator's leading monomial.  Deterministic: the largest
-    unprocessed monomial is cancelled against the first generator (in
-    list order) whose lead divides it.  Raises _Overflow when a product
-    would leave its packed fields.
+    num maps packed monomials to coefficients.  Returns (remainder,
+    den): remainder/den is the exact rational remainder of the input
+    num/den.  No term of the remainder is divisible by any generator's
+    leading monomial.  Deterministic: the largest unprocessed monomial
+    is cancelled against the first generator (in list order) whose lead
+    divides it.  Raises _Overflow when a product would leave its packed
+    fields.
 
     first maps a monomial m to an index i such that no lead in gens[:i]
     divides m, and gens[i] is the first divisor if i < len(gens).  The
     caller may share it between calls as long as gens only grows at the
     end, as Buchberger's basis does.
     """
-    heap = [-k for k in num]
+    heap = [-m for m in num]
     heapify(heap)
     n = len(gens)
     out: dict = {}
     while heap:
-        k = -heappop(heap)
-        c = num.pop(k)
+        mono = -heappop(heap)
+        c = num.pop(mono)
         if not c:
             continue
-        mono = monos[k]
         i = first.get(mono, 0)
         while i < n and (mono - gens[i].lm) & guard:
             i += 1
         first[mono] = i
         if i == n:
-            out[k] = c
+            out[mono] = c
             continue
         red = gens[i]
         g0 = gcd(c, red.lc)
@@ -219,69 +211,60 @@ def _reduce(num: dict, monos: dict, gens: Sequence[_Gen], guard: int,
         shift = mono - red.lm
         if (red.top + shift) & guard:
             raise _Overflow
-        kshift = k - red.lk
-        # a cancelled term keeps its key (with coefficient 0) in num, so
-        # every key of num is on the heap exactly once
-        for m2, k2, c2 in red.tail:
-            kk = k2 + kshift
-            cur = num.get(kk)
+        # a cancelled term keeps its monomial (with coefficient 0) in num,
+        # so every monomial of num is on the heap exactly once
+        for m, c2 in red.tail:
+            m += shift
+            cur = num.get(m)
             if cur is None:
-                num[kk] = -cc * c2
-                monos[kk] = m2 + shift
-                heappush(heap, -kk)
+                num[m] = -cc * c2
+                heappush(heap, -m)
             else:
-                num[kk] = cur - cc * c2
+                num[m] = cur - cc * c2
     return out, den
 
 
-def _spoly(gi: _Gen, gj: _Gen, l: int, kl: int, guard: int) -> tuple:
-    """Integer S-polynomial of gi and gj, whose leads have lcm l with
-    order key kl, as (num, monos); the lead terms cancel and are left
-    out."""
+def _spoly(gi: _Gen, gj: _Gen, l: int, guard: int) -> dict:
+    """Integer S-polynomial of gi and gj, whose leads have the packed
+    lcm l; the lead terms cancel and are left out."""
     si = l - gi.lm
     sj = l - gj.lm
     if (gi.top + si) & guard or (gj.top + sj) & guard:
         raise _Overflow
-    ki = kl - gi.lk
-    kj = kl - gj.lk
     g0 = gcd(gi.lc, gj.lc)
     ci = gj.lc // g0
     cj = gi.lc // g0
-    num: dict = {}
-    monos: dict = {}
-    for m, k, c in gi.tail:
-        k += ki
-        num[k] = ci * c
-        monos[k] = m + si
-    for m, k, c in gj.tail:
-        k += kj
-        cur = num.get(k, 0) - cj * c
+    num = {m + si: ci * c for m, c in gi.tail}
+    for m, c in gj.tail:
+        m += sj
+        cur = num.get(m, 0) - cj * c
         if cur:
-            num[k] = cur
-            monos[k] = m + sj
+            num[m] = cur
         else:
-            num.pop(k, None)
-    return num, monos
+            num.pop(m, None)
+    return num
 
 
 def _update(G: list, P: list, h: _Gen, packer: _Packer) -> None:
     """Gebauer-Moller pair update: append h to G, prune and extend the
-    heap P of pairs (lcm degree, lcm key, i, j, lcm).
+    heap P of pairs (lcm total degree, packed lcm, i, j).
 
     Prunes old pairs by the chain criterion, groups the new pairs by
     lcm, keeps only minimal lcms with one representative each, and drops
     whole groups containing a coprime-lead pair (product criterion).
+    Grouping and both criteria compare the exponent fields of lcms; only
+    the minimal lcms are packed with their order digits.
     """
-    guard = packer.guard
+    guard, low = packer.guard, packer.low
     t = len(G)
     lmh = h.lm
-    L = [packer.lcm(g.lm, lmh) for g in G]
-    kept = [e for e in P
-            if (e[4] - lmh) & guard or L[e[2]] == e[4] or L[e[3]] == e[4]]
+    L = [packer.lcm(g.lm, lmh) & low for g in G]
+    kept = [e for e in P if (e[1] - lmh) & guard
+            or L[e[2]] == e[1] & low or L[e[3]] == e[1] & low]
     groups: dict = {}
     for i, l in enumerate(L):
         groups.setdefault(l, []).append(i)
-    # a proper divisor of a packed monomial is a smaller int, and a
+    # a proper divisor of a monomial has smaller exponent fields, and a
     # divisor that is not minimal has a minimal divisor of its own
     minimal: list = []
     for l in sorted(groups):
@@ -290,14 +273,12 @@ def _update(G: list, P: list, h: _Gen, packer: _Packer) -> None:
                 break
         else:
             minimal.append(l)
-    weights = packer.weights
     for l in minimal:
         members = groups[l]
-        if any(l == G[i].lm + lmh for i in members):
+        if any(l == (G[i].lm + lmh) & low for i in members):
             continue
         exps = packer.unpack(l)
-        kept.append((sum(exps), sum(map(mul, exps, weights)),
-                     members[0], t, l))
+        kept.append((sum(exps), packer.pack(exps), members[0], t))
     heapify(kept)
     P[:] = kept
     G.append(h)
@@ -309,9 +290,11 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
 
     Output is sorted by ascending leading monomial, so it is a canonical
     form: two generating sets of the same ideal give the same list.
+    Monomials are packed once, with their order digits over their
+    exponents, in fields sized from the largest total degree of gens.
     progress(S-pairs processed, pairs queued, basis size) is called every
     100 S-pairs and once at the end with 0 queued; a run that restarts
-    with wider exponent fields reports again from the start.
+    with wider fields reports again from the start.
     """
     polys = [p for p in gens if p.terms]
     if not polys:
@@ -335,19 +318,17 @@ def _buchberger(polys: list, packer: _Packer,
     P: list = []
     first: dict = {}
     for p in polys:
-        num, monos, _ = packer.poly(p)
-        r, _ = _reduce(num, monos, G, guard, first)
+        r, _ = _reduce(packer.poly(p)[0], G, guard, first)
         if r:
-            _update(G, P, _normalized_gen(r, monos, packer), packer)
+            _update(G, P, _normalized_gen(r, packer), packer)
 
     done = 0
     while P:
-        _, kl, i, j, l = heappop(P)
-        num, monos = _spoly(G[i], G[j], l, kl, guard)
-        r, _ = _reduce(num, monos, G, guard, first)
+        _, l, i, j = heappop(P)
+        r, _ = _reduce(_spoly(G[i], G[j], l, guard), G, guard, first)
         done += 1
         if r:
-            _update(G, P, _normalized_gen(r, monos, packer), packer)
+            _update(G, P, _normalized_gen(r, packer), packer)
         if progress is not None and done % 100 == 0:
             progress(done, len(P), len(G))
     if progress is not None:
@@ -361,20 +342,17 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer,
     """Minimalize, tail-reduce, and make monic; sort by leading monomial."""
     guard = packer.guard
     kept: list = []
-    for g in sorted(G, key=lambda g: g.lk):
+    for g in sorted(G, key=lambda g: g.lm):
         if all((g.lm - f.lm) & guard for f in kept):
             kept.append(g)
     out = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1:]
-        num = {g.lk: g.lc}
-        monos = {g.lk: g.lm}
-        for m, k, c in g.tail:
-            num[k] = c
-            monos[k] = m
-        r, _ = _reduce(num, monos, others, guard, {})
+        num = {g.lm: g.lc}
+        num.update(g.tail)
+        r, _ = _reduce(num, others, guard, {})
         # the lead is divisible by no other lead, so it survives
-        out.append(packer.polynomial(ring, r, monos, r[g.lk]))
+        out.append(packer.polynomial(ring, r, r[g.lm]))
     return out
 
 
@@ -436,14 +414,13 @@ def _remainders(fs: Sequence[Polynomial], basis: Sequence[Polynomial],
     while True:
         packer = _Packer(order, width)
         try:
-            gens = [packer.gen(*packer.poly(g)[:2]) for g in polys]
+            gens = [packer.gen(packer.poly(g)[0]) for g in polys]
             first: dict = {}
             out = []
             for f in fs:
-                num, monos, scale = packer.poly(f)
-                r, den = _reduce(num, monos, gens, packer.guard, first,
-                                 scale)
-                out.append(packer.polynomial(f.ring, r, monos, den))
+                num, scale = packer.poly(f)
+                r, den = _reduce(num, gens, packer.guard, first, scale)
+                out.append(packer.polynomial(f.ring, r, den))
             return out
         except _Overflow:
             width *= 2
@@ -491,15 +468,17 @@ def saturate_by_variable(I: Ideal, var: str | int,
     itself when no basis element is divisible by v (v is then a
     nonzerodivisor mod I); otherwise a new ideal generated by the divided
     basis elements.  Raises ValueError on a generator that is not
-    homogeneous.
+    homogeneous, and on a var that names no variable of the ring.
     """
     ring = I.ring
+    idx = ring.index(var) if var in ring.names else var
+    if type(idx) is not int or not 0 <= idx < ring.nvars:
+        raise ValueError(f"no variable {var!r} in {ring.names}")
     if any(len({sum(m) for m in g.terms}) > 1 for g in I.gens):
         raise ValueError("saturation by a variable needs generators "
                          "homogeneous in total degree")
     if not any(g.terms for g in I.gens):
         return I
-    idx = ring.index(var) if isinstance(var, str) else var
     others = [i for i in range(ring.nvars) if i != idx]
     gb = buchberger(I.gens, MonomialOrder(ring, [others + [idx]]), progress)
     powers = [min(m[idx] for m in g.terms) for g in gb]

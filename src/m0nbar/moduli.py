@@ -39,7 +39,6 @@ from .poly import (
     Polynomial,
     RingSpec,
     grevlex_order,
-    lex_order,
     moduli_ring,
     monomials_of_multidegree,
     parse_polynomial,
@@ -60,7 +59,7 @@ def _canonical_sign(p: Polynomial) -> Polynomial:
     lex-leading coefficient."""
     terms, _ = _int_form(p.terms)
     _strip_content(terms)
-    sign = -1 if terms[p.leading_monomial(lex_order(p.ring))] < 0 else 1
+    sign = -1 if terms[max(terms)] < 0 else 1  # lex is tuple order
     return Polynomial(p.ring, {m: Rational(sign * c) for m, c in terms.items()})
 
 

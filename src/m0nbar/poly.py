@@ -372,9 +372,9 @@ def format_polynomial(p: Polynomial) -> str:
     if not p.terms:
         return "0"
     names = p.ring.names
-    lex = lex_order(p.ring)
     parts: list = []
-    for mono in sorted(p.terms, key=lex.key, reverse=True):
+    # lex in ring order is tuple order: its key of a monomial is itself
+    for mono in sorted(p.terms, reverse=True):
         coeff = p.terms[mono]
         factors = []
         for name, e in zip(names, mono):

@@ -18,7 +18,9 @@ import random
 from m0nbar.arith import matrix_rank, rat
 from m0nbar.ideal import Ideal, contains, normal_form, spolynomial
 from m0nbar.poly import (
+    MonomialOrder,
     Polynomial,
+    elimination_order,
     grevlex_order,
     lex_order,
     monomials_of_multidegree,
@@ -82,6 +84,14 @@ def membership_oracle(I, f):
     return matrix_rank(rows + [coefficient_row(f, index)]) == matrix_rank(rows)
 
 
+def block_order(ring, k):
+    """On three variables, the k-th of three block orders (cycling);
+    their packed order digits are prefix sums across block boundaries."""
+    return [MonomialOrder(ring, [[2], [0, 1]]),
+            MonomialOrder(ring, [[1, 0], [2]]),
+            elimination_order(ring, [0])][k % 3]
+
+
 def spoly_certificate(I, order):
     gb = I.groebner_basis(order)
     for i in range(len(gb)):
@@ -101,6 +111,8 @@ def test_homogeneous_membership_agrees_with_rank_oracle():
         ideals += 1
         order = grevlex_order(I.ring) if ideals % 2 else lex_order(I.ring)
         assert spoly_certificate(I, order)
+        if I.ring.nvars == 3:
+            assert spoly_certificate(I, block_order(I.ring, ideals))
         dmax = max(g.total_degree() for g in I.gens)
         for _ in range(3):
             if rng.random() < 0.5:
@@ -126,6 +138,8 @@ def test_inhomogeneous_certificates_and_span_members():
         I = random_ideal(rng, homogeneous=False)
         order = grevlex_order(I.ring) if k % 2 else lex_order(I.ring)
         assert spoly_certificate(I, order)
+        if I.ring.nvars == 3:
+            assert spoly_certificate(I, block_order(I.ring, k))
         # span members at bounded degree must test as members; the
         # converse is not linear-algebra-decidable without homogeneity
         f = I.ring.zero()

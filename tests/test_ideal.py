@@ -140,21 +140,27 @@ def test_exponent_overflow_widens_fields():
                      P(XYZ, "x^3*y^2*z^5 - 2*z")], lex_order(XYZ))
     assert [str(g) for g in gb] == ["y^76*z^156 + 274877906944*z",
                                     "x*z - 1/33554432*y^50*z^103"]
+    # every exponent fits the first fields, the total degree 252 does not
+    r = normal_form(P(XYZ, "x^63"), [P(XYZ, "x - y^2*z^2")], lex_order(XYZ))
+    assert r == P(XYZ, "y^126*z^126")
 
 
 def test_packed_monomials():
     packer = _Packer(lex_order(XYZ), 8)
-    a, b = (3, 0, 127), (5, 2, 1)
+    a, b = (3, 0, 100), (5, 2, 30)
     pa, pb = packer.pack(a), packer.pack(b)
     assert packer.unpack(pa) == a and packer.unpack(pb) == b
-    assert packer.unpack(packer.lcm(pa, pb)) == (5, 2, 127)
+    assert packer.unpack(packer.lcm(pa, pb)) == (5, 2, 100)
     # divisibility is a masked subtract
-    assert not (packer.pack((5, 2, 127)) - pa) & packer.guard
+    assert not (packer.pack((5, 2, 100)) - pa) & packer.guard
     assert (pb - pa) & packer.guard and (pa - pb) & packer.guard
     # a product that leaves the field shows up in the guard bits
     assert (pa + pb) & packer.guard
     with pytest.raises(_Overflow):
         packer.pack((128, 0, 0))
+    # the fields hold the total degree, not only each exponent
+    with pytest.raises(_Overflow):
+        packer.pack((64, 64, 0))
 
 
 @pytest.mark.parametrize("make_order", [
@@ -170,18 +176,18 @@ def test_int_keys_order_like_tuple_keys(make_order):
     order = make_order(XYZ)
     nv = order.ring.nvars
     packer = _Packer(order, 32)
-    top = packer.mask
+    # products of two of these monomials still fit the fields
+    top = packer.mask // 8
     shapes = [(top, 0, 0), (0, top, 0), (0, 0, top), (top, top, top),
               (40000, 1, 0), (40000, 0, 1), (39999, 2, 0), (1, 1, 40000),
               (0, 40001, 0), (top - 1, top, 1), (0, 0, 0), (1, 0, 0)]
     monos = [m + (0,) * (nv - 3) for m in shapes]
     if nv > 3:
         monos += [(0, 0, 0) + (top,) * (nv - 3), (top, 0, 0) + (1,) * (nv - 3)]
-    by_tuple = sorted(monos, key=order.key)
-    assert sorted(monos, key=packer.key) == by_tuple
+    assert sorted(monos, key=packer.pack) == sorted(monos, key=order.key)
     for m in monos:
         for n in monos:
-            assert packer.key(m) + packer.key(n) == packer.key(
+            assert packer.pack(m) + packer.pack(n) == packer.pack(
                 tuple(map(sum, zip(m, n))))
 
 
@@ -237,6 +243,13 @@ def test_saturate_single_variable():
     assert sat_strings(I, "x") == ["y"]
     assert sat_strings(I, "y") == ["x^2"]
     assert sat_strings(I, "z") == ["x^2*y"]
+
+
+@pytest.mark.parametrize("var", ["zz", 99, -1, True])
+def test_saturate_rejects_an_unknown_variable(var):
+    I = Ideal(XYZ, [P(XYZ, "x^2*y")])
+    with pytest.raises(ValueError, match=f"no variable {var!r} "):
+        saturate_by_variable(I, var)
 
 
 def test_saturate_unit_ideal():

@@ -110,6 +110,13 @@ def test_orders_are_block_lists():
     assert grevlex_order(XYZ).key((1, 2, 3)) == (6, -3, -2)
 
 
+def test_lex_order_is_tuple_order():
+    # format_polynomial and moduli sort by plain tuples on this identity
+    R7 = moduli_ring(7)
+    ms = monomials_of_multidegree(R7, (1, 2, 1, 2))
+    assert sorted(ms, key=lex_order(R7).key) == sorted(ms)
+
+
 @pytest.mark.parametrize("blocks", [
     [[0, 1], [], [2]],     # empty block
     [[0, 1], [1, 2]],      # repeated variable
