@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .arith import Rational, _int_form, _strip_content
@@ -220,16 +220,53 @@ class PointConfig:
         return len(self.points)
 
 
+def _cross_ratios(points: Sequence) -> list:
+    """Per block i = 1, ..., n-3, the pairs (p_1 - p_{j+2},
+    p_{i+3} - p_{j+2}), j = 0, ..., i: numerator and denominator of the
+    block's cross ratios w_j."""
+    p = points
+    return [[(p[0] - p[j + 1], p[i + 2] - p[j + 1]) for j in range(i + 1)]
+            for i in range(1, len(p) - 2)]
+
+
 def embedding_coordinates(config: PointConfig) -> list:
     """Cross-ratio coordinates of a point configuration, flattened in
     ring variable order (block 1 first)."""
-    p = config.points
-    n = config.n
-    coords = []
-    for i in range(1, n - 2):
-        for j in range(i + 1):
-            coords.append((p[0] - p[j + 1]) / (p[i + 2] - p[j + 1]))
-    return coords
+    return [num / den for block in _cross_ratios(config.points)
+            for num, den in block]
+
+
+def _scaled_coordinates(points: Sequence[int]) -> tuple:
+    """(coords, scales) for distinct integer points: block i's cross
+    ratios times L_i, the lcm of the block's denominators, as ints
+    flattened in ring variable order, and the list of the L_i."""
+    coords, scales = [], []
+    for block in _cross_ratios(points):
+        scale = lcm(*(den for _, den in block))
+        scales.append(scale)
+        coords.extend(num * (scale // den) for num, den in block)
+    return coords, scales
+
+
+def _compile(eq: Polynomial) -> tuple:
+    """(terms, scale): eq times scale, the lcm of its coefficient
+    denominators, as (int coefficient, variable indices with repetition)
+    pairs.  Raises ValueError if eq is not multihomogeneous."""
+    eq.multidegree()
+    ints, scale = _int_form(eq.terms)
+    terms = [(c, tuple(i for i, e in enumerate(mono) for _ in range(e)))
+             for mono, c in ints.items()]
+    return terms, scale
+
+
+def _evaluate_compiled(terms: list, coords: Sequence[int]) -> int:
+    """Value of compiled terms at integer coordinates."""
+    total = 0
+    for c, idx in terms:
+        for i in idx:
+            c *= coords[i]
+        total += c
+    return total
 
 
 @dataclass
@@ -254,6 +291,16 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
 
     Points are drawn without repetition from [-20, 20] with a seeded
     generator, so runs are reproducible.
+
+    The test runs in plain ints.  Each equation is compiled once to
+    integer coefficients, scaled by the lcm of its denominators, and
+    each trial scales block i's cross ratios by L_i, the lcm of that
+    block's denominators.  An equation of multidegree d is homogeneous
+    of degree d_i in block i, so its integer value is its exact value
+    times the nonzero constant scale * prod_i L_i^(d_i): zero exactly
+    when the exact value is zero.  A nonzero value is recomputed as a
+    Rational at that point alone for the report.  Raises ValueError if
+    an equation is not multihomogeneous.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -261,14 +308,16 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
         raise ValueError("need n <= 41 distinct points in [-20, 20]")
     rng = random.Random(seed)
     eqs = cubic_generators(n) + quartic_equations(n)
+    compiled = [_compile(eq)[0] for eq in eqs]
     failures = []
     for trial in range(trials):
-        pts = rng.sample(range(-20, 21), n)
-        coords = embedding_coordinates(PointConfig(tuple(pts)))
-        for idx, eq in enumerate(eqs):
-            value = eq.evaluate(coords)
-            if value.num != 0:
-                failures.append((trial, tuple(pts), idx, str(value)))
+        pts = tuple(rng.sample(range(-20, 21), n))
+        coords, _ = _scaled_coordinates(pts)
+        for idx, terms in enumerate(compiled):
+            if _evaluate_compiled(terms, coords):
+                exact = embedding_coordinates(PointConfig(pts))
+                failures.append((trial, pts, idx,
+                                 str(eqs[idx].evaluate(exact))))
     return VanishingReport(n, trials, len(eqs), failures)
 
 

@@ -101,13 +101,13 @@ def test_criterion_03_counts_and_identity():
 
 def test_criterion_04_vanishing():
     def body():
-        for n, trials in ((5, 100), (6, 100), (7, 50)):
+        for n, trials in ((5, 100), (6, 100), (7, 50), (8, 50)):
             report = vanishing_test(n, trials=trials, seed=0)
             if not report.ok:
                 return False
         return True
 
-    run_criterion(4, "exact vanishing at 100/100/50 random configurations",
+    run_criterion(4, "exact vanishing at 100/100/50/50 random configurations",
                   body)
 
 

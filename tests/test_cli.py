@@ -24,6 +24,12 @@ SATURATE_6_GREVLEX_SHA256 = (
 # must be live pairs only
 SATURATE_7_PROGRESS_SHA256 = (
     "ddd0a991bc41c15d6999215853d35a70057bdbdbe046756f21fece80df1f5d25")
+# sha256 of the full stdout of two verify runs: a change to the vanishing
+# test must keep the printed checks and counts byte for byte
+VERIFY_7_SHA256 = (
+    "ce8086130c7a69cadfbbc438a69a4950d042d736dc54ded56911771974ee41ba")
+VERIFY_8_SHA256 = (
+    "4b1f9ab5166c7dd1958189df3d41aff4227bbf4c9a7086bfda65b594031461a7")
 
 
 def sha256(text):
@@ -165,6 +171,17 @@ def test_verify_n8_counts(capsys):
         assert f"count identity d={d}: " in out
     assert "vanishing: 112 evaluations, 0 nonzero: pass" in out
     assert "result: 7/7 checks passed" in out
+
+
+def test_verify_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "7", "--trials", "3000",
+                       "--seed", "1")
+    assert code == 0
+    assert "vanishing: 63000 evaluations, 0 nonzero: pass" in out
+    assert sha256(out) == VERIFY_7_SHA256
+    code, out, _ = run(capsys, "verify", "8", "--trials", "50", "--seed", "0")
+    assert code == 0
+    assert sha256(out) == VERIFY_8_SHA256
 
 
 def test_verify_stdout_is_deterministic(capsys):

@@ -8,9 +8,11 @@ normalization (content-free, positive lex-leading coefficient).
 
 import hashlib
 import os
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from m0nbar.arith import rat
 from m0nbar.ideal import (
@@ -43,7 +45,14 @@ from m0nbar.moduli import (
     stable_tree_count,
     vanishing_test,
 )
-from m0nbar.poly import lex_order, moduli_ring, parse_polynomial
+from m0nbar.moduli import _compile, _evaluate_compiled, _scaled_coordinates
+from m0nbar.poly import (
+    Polynomial,
+    lex_order,
+    moduli_ring,
+    monomials_of_multidegree,
+    parse_polynomial,
+)
 
 CUBIC_N5 = ["a0*b0*b1 - a1*b0*b1 + a1*b0*b2 - a0*b1*b2"]
 
@@ -215,7 +224,7 @@ def test_embedding_is_affine_invariant():
 
 
 def test_vanishing_small():
-    for n in (5, 6, 7):
+    for n in (5, 6, 7, 8):
         report = vanishing_test(n, trials=5, seed=11)
         assert report.ok
         assert report.equations == comb(n - 1, 4) + comb(n - 1, 5)
@@ -244,9 +253,69 @@ def test_vanishing_is_deterministic():
     a = vanishing_test(5, trials=3, seed=42)
     b = vanishing_test(5, trials=3, seed=42)
     assert (a.n, a.trials, a.failures) == (b.n, b.trials, b.failures)
-    # a polynomial that does not vanish gets reported
     report = vanishing_test(5, trials=2, seed=0)
     assert report.failures == []
+
+
+def test_vanishing_reports_a_polynomial_that_does_not_vanish(monkeypatch):
+    # the n=6 quartic plus a monomial of its multidegree (1, 1, 2)
+    import m0nbar.moduli as moduli
+
+    ring = moduli_ring(6)
+    extra = parse_polynomial(ring, "1/3*a0*b1*c0*c2")
+    mutant = quartic_equations(6)[0] + extra
+    monkeypatch.setattr(moduli, "quartic_equations", lambda n: [mutant])
+    report = vanishing_test(6, trials=3, seed=5)
+    assert not report.ok
+    assert [f[0] for f in report.failures] == [0, 1, 2]
+    for trial, points, index, value in report.failures:
+        assert index == len(cubic_generators(6))
+        assert isinstance(points, tuple) and isinstance(value, str)
+        coords = embedding_coordinates(PointConfig(points))
+        assert value == str(mutant.evaluate(coords))
+
+
+def test_vanishing_rejects_a_non_multihomogeneous_equation(monkeypatch):
+    import m0nbar.moduli as moduli
+
+    ring = moduli_ring(6)
+    mixed = quartic_equations(6)[0] + parse_polynomial(ring, "a0*b0*c0")
+    monkeypatch.setattr(moduli, "quartic_equations", lambda n: [mixed])
+    with pytest.raises(ValueError, match="multihomogeneous"):
+        vanishing_test(6, trials=1)
+
+
+@st.composite
+def multihomogeneous_at_points(draw):
+    """A multihomogeneous polynomial with Rational coefficients over
+    moduli_ring(5) or moduli_ring(6), and distinct integer points."""
+    n = draw(st.sampled_from([5, 6]))
+    ring = moduli_ring(n)
+    degree = tuple(draw(st.integers(0, 2)) for _ in ring.block_sizes)
+    monos = draw(st.lists(
+        st.sampled_from(monomials_of_multidegree(ring, degree)),
+        min_size=1, max_size=5, unique=True))
+    coeffs = st.builds(rat, st.integers(-9, 9).filter(bool),
+                       st.integers(1, 12))
+    p = Polynomial(ring, {m: draw(coeffs) for m in monos})
+    points = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n,
+                           unique=True))
+    return p, points
+
+
+@given(multihomogeneous_at_points())
+@settings(max_examples=150)
+def test_integer_evaluation_is_scaled_exact_evaluation(case):
+    # the vanishing test's integer value is the exact value times
+    # scale * prod_i L_i^(d_i), a positive constant
+    p, points = case
+    terms, scale = _compile(p)
+    coords, block_scales = _scaled_coordinates(points)
+    exact = p.evaluate(embedding_coordinates(PointConfig(points)))
+    factor = scale * prod(L ** d for L, d
+                          in zip(block_scales, p.multidegree()))
+    assert factor > 0
+    assert _evaluate_compiled(terms, coords) == exact * factor
 
 
 # -- quartic membership witness ---------------------------------------------
