@@ -25,7 +25,11 @@ equal ideals yield identical bases.
 
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
 with v as the smallest variable, whose basis elements divided by their
-largest powers of v generate the saturation (Bayer-Stillman).  Ideal
+largest powers of v generate the saturation (Bayer-Stillman).  A block
+is saturated the same way by a linear form l of its variables, after a
+shear that puts l in a variable's slot; normal forms against that run's
+basis certify that the result is the block saturation, and a failed
+certificate retries with the next of a fixed sequence of forms.  Ideal
 intersection is the only place that adjoins a variable: it builds the
 ring with one more variable t and eliminates t from t*I + (1-t)*J.
 Graded invariants (piece dimensions, minimal generator counts, Hilbert
@@ -36,9 +40,9 @@ initial ideal or from exact matrix ranks.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, count
 from math import gcd
-from operator import le, lshift, mul, sub
+from operator import add, le, lshift, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .arith import Rational, _int_form, _strip_content, matrix_rank
@@ -464,11 +468,12 @@ def saturate_by_variable(I: Ideal, var: str | int,
     One grevlex run with v as the smallest variable (Bayer-Stillman):
     v divides a homogeneous element iff it divides its leading monomial,
     so dividing every basis element by its largest power of v gives a
-    Groebner basis of I : v^infinity under the same order.  Returns I
-    itself when no basis element is divisible by v (v is then a
-    nonzerodivisor mod I); otherwise a new ideal generated by the divided
-    basis elements.  Raises ValueError on a generator that is not
-    homogeneous, and on a var that names no variable of the ring.
+    Groebner basis of I : v^infinity under the same order.  The run's
+    basis stays cached on I under that order.  Returns I itself when no
+    basis element is divisible by v (v is then a nonzerodivisor mod I);
+    otherwise a new ideal generated by the divided basis elements.
+    Raises ValueError on a generator that is not homogeneous, and on a
+    var that names no variable of the ring.
     """
     ring = I.ring
     idx = ring.index(var) if var in ring.names else var
@@ -477,10 +482,8 @@ def saturate_by_variable(I: Ideal, var: str | int,
     if any(len({sum(m) for m in g.terms}) > 1 for g in I.gens):
         raise ValueError("saturation by a variable needs generators "
                          "homogeneous in total degree")
-    if not any(g.terms for g in I.gens):
-        return I
     others = [i for i in range(ring.nvars) if i != idx]
-    gb = buchberger(I.gens, MonomialOrder(ring, [others + [idx]]), progress)
+    gb = I.groebner_basis(MonomialOrder(ring, [others + [idx]]), progress)
     powers = [min(m[idx] for m in g.terms) for g in gb]
     if not any(powers):
         return I
@@ -490,8 +493,7 @@ def saturate_by_variable(I: Ideal, var: str | int,
         for g, k in zip(gb, powers)])
 
 
-def intersect(I: Ideal, J: Ideal,
-              progress: Progress | None = None) -> Ideal:
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """Ideal intersection via t*I + (1-t)*J and elimination of t.
 
     t is one more variable, appended to the ring in a block of its own.
@@ -513,32 +515,62 @@ def intersect(I: Ideal, J: Ideal,
 
     gens = [times_t(g, 1) for g in I.gens]
     gens += [times_t(g, 0) - times_t(g, 1) for g in J.gens]
-    gb = buchberger(gens, elimination_order(ext, [nv]), progress)
+    gb = buchberger(gens, elimination_order(ext, [nv]))
     kept = [Polynomial(ring, {m[:nv]: c for m, c in g.terms.items()})
             for g in gb if not any(m[nv] for m in g.terms)]
     return Ideal(ring, kept).with_cached_basis(grevlex_order(ring), kept)
 
 
+def _shear(p: Polynomial, idx: int, lin: Polynomial) -> Polynomial:
+    """p with variable idx replaced by the linear form lin."""
+    powers = list(accumulate([lin] * max((m[idx] for m in p.terms), default=0),
+                             mul, initial=p.ring.one()))
+    return Polynomial.from_terms(p.ring, (
+        (tuple(map(add, m[:idx] + (0,) + m[idx + 1:], m2)), c * c2)
+        for m, c in p.terms.items() for m2, c2 in powers[m[idx]].terms.items()))
+
+
 def saturate_by_block(I: Ideal, block: int,
                       progress: Progress | None = None) -> Ideal:
-    """Saturate a homogeneous I by the irrelevant ideal B of one block:
-    the intersection of the single-variable saturations over the block's
-    variables, taken in ring order.  As soon as one of them is I itself,
-    returns I with no intersection: I <= I : B^infinity <= I : x^infinity
-    for every x in B.  Raises ValueError unless 0 <= block < nblocks."""
-    if not 0 <= block < I.ring.nblocks:
-        raise ValueError(f"no block {block} among {I.ring.nblocks}")
-    start, stop = I.ring.block_slices()[block]
-    parts = []
-    for v in range(start, stop):
-        part = saturate_by_variable(I, v, progress)
-        if part is I:
+    """Saturate a homogeneous I by the irrelevant ideal B of one block,
+    with one Bayer-Stillman run per attempt j = 1, 2, ...
+
+    Attempt j takes the linear form l = x_last + sum of j^(last - v) * x_v
+    over the block's other variables x_v, shears x_last -> y - (l - x_last)
+    (multidegrees are kept and y sits in x_last's slot) and saturates by
+    y.  If y is a nonzerodivisor, I <= I : B^infinity <= I : l^infinity =
+    I, so I itself is returned.  Otherwise every divided generator g of
+    I : l^infinity is certified in the run's own basis: x_v^(j*k) * g in I
+    for every other block variable, where k is the largest power of y
+    divided out, and y^k * g in I holds by construction.  A certified
+    result is sheared back and returned as its reduced grevlex basis; a
+    failed certificate moves on to attempt j + 1.  All but finitely many
+    l avoid the associated primes of I : B^infinity that do not contain B,
+    and B^M (I : B^infinity) <= I for one M, so some attempt succeeds.
+    Raises ValueError unless 0 <= block < nblocks."""
+    ring = I.ring
+    if not 0 <= block < ring.nblocks:
+        raise ValueError(f"no block {block} among {ring.nblocks}")
+    start, stop = ring.block_slices()[block]
+    last = stop - 1
+    y = ring.var_by_index(last)
+    order = MonomialOrder(ring, [[v for v in range(ring.nvars) if v != last]
+                                 + [last]])
+    for j in count(1):
+        rest = sum((j ** (last - v) * ring.var_by_index(v)
+                    for v in range(start, last)), ring.zero())
+        sheared = Ideal(ring, [_shear(g, last, y - rest) for g in I.gens])
+        J = saturate_by_variable(sheared, last, progress)
+        if J is sheared:
             return I
-        parts.append(part)
-    result = parts[0]
-    for p in parts[1:]:
-        result = intersect(result, p, progress)
-    return result
+        basis = sheared.groebner_basis(order)
+        k = max(min(m[last] for m in g.terms) for g in basis)
+        tests = [ring.var_by_index(v) ** (j * k) * g
+                 for v in range(start, last) for g in J.gens]
+        if not any(r.terms for r in _remainders(tests, basis, order)):
+            gb = buchberger([_shear(g, last, y + rest) for g in J.gens],
+                            grevlex_order(ring), progress)
+            return Ideal(ring, gb).with_cached_basis(grevlex_order(ring), gb)
 
 
 def saturation_pipeline(n: int,

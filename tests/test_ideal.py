@@ -383,15 +383,17 @@ def test_saturation_matches_aux_variable_oracle(seed):
 
 def test_saturate_by_block_stops_at_a_nonzerodivisor():
     ring = polynomial_ring(["a0", "a1", "b0", "b1"], block_sizes=(2, 2))
-    # a0 is a nonzerodivisor mod I although a1 is not (I : a1^infinity
-    # = <b0, b1^2>), so I : <a0, a1>^infinity = I with no intersection
+    # a1 is a zerodivisor mod I (I : a1^infinity = <b0, b1^2>), but the
+    # first linear form a0 + a1 is not, so I : <a0, a1>^infinity = I after
+    # one run with no certificate
     I = Ideal(ring, [P(ring, "a1*b0"), P(ring, "a1*b1^2 - b0*b1^2")])
     assert saturate_by_variable(I, "a0") is I
     assert not equal_ideals(oracle_saturation(I, 1), I)
     assert saturate_by_block(I, 0) is I
     want = intersect(oracle_saturation(I, 0), oracle_saturation(I, 1))
     assert equal_ideals(want, I)
-    # here the first variable a0 is a zerodivisor: J : a0 = <b0>
+    # here a0 + a1 is a zerodivisor: J : (a0 + a1)^infinity = <b0>, which
+    # the certificate accepts at the first attempt (a0*b0 is in J)
     J = Ideal(ring, [P(ring, "a0*b0"), P(ring, "a1*b0")])
     S = saturate_by_block(J, 0)
     assert S is not J
@@ -400,22 +402,64 @@ def test_saturate_by_block_stops_at_a_nonzerodivisor():
     assert equal_ideals(S, want)
 
 
+def block_saturation_and_runs(I, block):
+    calls = []
+    S = saturate_by_block(I, block, lambda *args: calls.append(args))
+    start, stop = I.ring.block_slices()[block]
+    want = oracle_saturation(I, start)
+    for v in range(start + 1, stop):
+        want = intersect(want, oracle_saturation(I, v))
+    assert equal_ideals(S, want)
+    return S, len(calls)
+
+
+def test_saturate_by_block_retries_past_a_zerodivisor_form():
+    # the first form x0 + x1 is a zerodivisor: I : (x0 + x1)^infinity =
+    # <z>, but x0*z is not in I, so the certificate fails; the second
+    # form x1 + 2*x0 is a nonzerodivisor and I comes back unchanged
+    ring = polynomial_ring(["x0", "x1", "z"], block_sizes=(2, 1))
+    I = Ideal(ring, [P(ring, "x0*z + x1*z")])
+    S, runs = block_saturation_and_runs(I, 0)
+    assert S is I
+    assert runs == 2
+
+
+def test_saturate_by_block_retries_with_a_higher_power():
+    # I = <z> & <x0 + x1, x0^5>: the first form divides out only y^1,
+    # and x0^1 * z is not in I; the second form divides out y^5 and
+    # x0^10 * z is in I, so the second attempt is certified and
+    # interreduced to <z>
+    ring = polynomial_ring(["x0", "x1", "z"], block_sizes=(2, 1))
+    I = Ideal(ring, [P(ring, "x0*z + x1*z"), P(ring, "x0^5*z")])
+    S, runs = block_saturation_and_runs(I, 0)
+    assert [str(g) for g in S.gens] == ["z"]
+    assert runs == 3
+
+
+def test_saturate_by_block_certifies_every_block_variable():
+    # I = <z> & <x0, x1 + x2>: the first form x0 + x1 + x2 lies in the
+    # second prime, and x0*z is in I while x1*z is not, so only a
+    # certificate that tests x1 as well rejects <z>
+    ring = polynomial_ring(["x0", "x1", "x2", "z"], block_sizes=(3, 1))
+    I = Ideal(ring, [P(ring, "x0*z"), P(ring, "x1*z + x2*z")])
+    S, runs = block_saturation_and_runs(I, 0)
+    assert S is I
+    assert runs == 2
+
+
 def test_saturation_pipeline_progress_n6():
     # every Buchberger run of the n = 6 pipeline reports once, at its
     # end: (S-pairs processed, 0 queued, basis size before
     # interreduction); the benchmark reads its per-run counts from here.
-    # Blocks a and c stop after one run (their first variable is a
-    # nonzerodivisor); block b takes one run per variable and two
-    # intersections.
+    # Blocks a and c stop after one run (their first linear form is a
+    # nonzerodivisor); block b takes one run for its first form and one
+    # for the reduced grevlex basis of the certified saturation.
     calls = []
     saturation_pipeline(6, lambda *args: calls.append(args))
-    assert calls == [
-        (23, 0, 10),
-        (23, 0, 10), (23, 0, 10), (23, 0, 10), (29, 0, 14), (29, 0, 14),
-        (11, 0, 7)]
-    assert len(calls) == 7
-    assert sum(c[0] for c in calls) == 161
-    assert sum(c[2] for c in calls) == 75
+    assert calls == [(23, 0, 10), (24, 0, 11), (11, 0, 7), (12, 0, 8)]
+    assert len(calls) == 4
+    assert sum(c[0] for c in calls) == 70
+    assert sum(c[2] for c in calls) == 36
 
 
 # -- monomial ideals and invariants ----------------------------------------

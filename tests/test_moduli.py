@@ -383,6 +383,12 @@ def test_saturation_pipeline_n8_matches_predictions():
     # the paper's pattern: binomial(n - 1, d + 1) minimal generators of
     # each degree d, codimension (n - 3)(n - 4)/2, degree (2n - 7)!!
     I = saturation_pipeline(8)
+    # sha256 of the 171 printed elements of the reduced grevlex basis, one
+    # per line, as the route of per-variable saturations and their
+    # intersections computed it
+    text = "\n".join(str(g) for g in I.groebner_basis())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "157bd8a33969db3fead1d76b39a5f86bf10ca5c13eddd21026fabb86310aff1e")
     assert min_gens_by_total_degree(I) == {d: comb(7, d + 1)
                                            for d in range(3, 7)}
     assert hilbert_degree(I) == (10, stable_tree_count(8))
