@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
-from math import gcd
+from math import comb, gcd
 from operator import add, le, lshift, mul, sub
 from typing import Callable, Iterable, Sequence
 
@@ -297,8 +297,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     Monomials are packed once, with their order digits over their
     exponents, in fields sized from the largest total degree of gens.
     progress(S-pairs processed, pairs queued, basis size) is called every
-    100 S-pairs and once at the end with 0 queued; a run that restarts
-    with wider fields reports again from the start.
+    100 S-pairs while pairs remain queued and once at the end with 0
+    queued; a run that restarts with wider fields reports again from the
+    start.
     """
     polys = [p for p in gens if p.terms]
     if not polys:
@@ -333,7 +334,7 @@ def _buchberger(polys: list, packer: _Packer,
         done += 1
         if r:
             _update(G, P, _normalized_gen(r, packer), packer)
-        if progress is not None and done % 100 == 0:
+        if progress is not None and done % 100 == 0 and P:
             progress(done, len(P), len(G))
     if progress is not None:
         progress(done, 0, len(G))
@@ -349,13 +350,13 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer,
     for g in sorted(G, key=lambda g: g.lm):
         if all((g.lm - f.lm) & guard for f in kept):
             kept.append(g)
+    # no lead divides a monomial below it, so reducing g's tail against
+    # all of kept takes the same steps as against kept without g
+    first: dict = {}
     out = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        num = {g.lm: g.lc}
-        num.update(g.tail)
-        r, _ = _reduce(num, others, guard, {})
-        # the lead is divisible by no other lead, so it survives
+    for g in kept:
+        r, den = _reduce(dict(g.tail), kept, guard, first)
+        r[g.lm] = g.lc * den
         out.append(packer.polynomial(ring, r, r[g.lm]))
     return out
 
@@ -577,11 +578,9 @@ def saturation_pipeline(n: int,
                         progress: Progress | None = None) -> Ideal:
     """Saturate the minor-cubic ideal by every block in turn (first
     block first), returning the conjectured defining ideal."""
-    from .moduli import cubic_generators
-    from .poly import moduli_ring
-    ring = moduli_ring(n)
-    I = Ideal(ring, cubic_generators(n))
-    for block in range(ring.nblocks):
+    from .moduli import minor_ideal
+    I = minor_ideal(n)
+    for block in range(I.ring.nblocks):
         I = saturate_by_block(I, block, progress)
     return I
 
@@ -652,10 +651,9 @@ def _hilbert_numerator(gens: tuple, memo: dict) -> tuple:
         # pairwise disjoint supports: series factors
         result = (1,)
         for g in gens:
-            d = sum(g)
-            factor = [0] * (d + 1)
-            factor[0], factor[d] = 1, -1
-            result = _series_mul(result, tuple(factor))
+            # times (1 - T^deg g)
+            result = _series_add(result,
+                                 (0,) * sum(g) + tuple(-c for c in result))
     else:
         # N(M) = N(M + x) + T * N(M : x) for a single variable x
         ex = tuple(1 if v == best else 0 for v in range(nv))
@@ -667,15 +665,6 @@ def _hilbert_numerator(gens: tuple, memo: dict) -> tuple:
         result = _series_add(a, (0,) + b)
     memo[gens] = result
     return result
-
-
-def _series_mul(a: tuple, b: tuple) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
 
 
 def _series_add(a: tuple, b: tuple) -> tuple:
@@ -694,25 +683,17 @@ def hilbert_degree(I: Ideal) -> tuple:
     """(codimension, degree) of R/I under the flattened total grading.
 
     Computed from the grevlex initial ideal: the Hilbert series numerator
-    N(T) has (1-T)-multiplicity equal to the codimension, and evaluating
-    the cofactor at T=1 gives the degree.
+    N(T) = sum a_i T^i is (1-T)^c Q(T) with c the codimension and Q(1)
+    the degree.  Its c-th Taylor coefficient at T = 1, the moment
+    sum a_i * binomial(i, c), is (-1)^c Q(1), and every lower one is 0.
     """
     N = hilbert_numerator(initial_ideal(I))
     if not any(N):
         raise ValueError("unit ideal has no degree")
-    codim = 0
-    while sum(N) == 0:
-        # exact synthetic division by (1 - T): prefix sums
-        acc = 0
-        q = []
-        for c in N:
-            acc += c
-            q.append(acc)
-        while q and q[-1] == 0:
-            q.pop()
-        N = q
-        codim += 1
-    return codim, sum(N)
+    for c in count():
+        moment = sum(a * comb(i, c) for i, a in enumerate(N))
+        if moment:
+            return c, (-1) ** c * moment
 
 
 def _degree_packing(ring: RingSpec, D: tuple) -> tuple:
@@ -788,17 +769,13 @@ def graded_piece_dim(I: Ideal, degree: Sequence[int],
     the given generators, no Groebner basis involved.
     """
     degree = tuple(degree)
-    ring = I.ring
     if method == "standard":
         if not all(g.is_multihomogeneous() for g in I.gens):
             raise ValueError("polynomial is not multihomogeneous")
         return _count_in(initial_ideal(I), degree)
     if method != "rank":
         raise ValueError(f"unknown method {method!r}")
-    rows = _macaulay_rows(I.gens, ring, degree, skip_unit=False)
-    if not rows:
-        return 0
-    return matrix_rank(rows)
+    return matrix_rank(_macaulay_rows(I.gens, I.ring, degree, skip_unit=False))
 
 
 def min_gens_by_total_degree(I: Ideal) -> dict:
@@ -810,15 +787,12 @@ def min_gens_by_total_degree(I: Ideal) -> dict:
     of Groebner basis elements can contribute.
     """
     gb = I.groebner_basis()
-    ring = I.ring
     degrees = sorted({g.multidegree() for g in gb})
     M = initial_ideal(I)
     out: dict = {}
     for D in degrees:
-        dim_full = _count_in(M, D)
-        rows = _macaulay_rows(gb, ring, D, skip_unit=True)
-        lower = matrix_rank(rows) if rows else 0
-        count = dim_full - lower
+        count = _count_in(M, D) - matrix_rank(
+            _macaulay_rows(gb, I.ring, D, skip_unit=True))
         if count:
             td = sum(D)
             out[td] = out.get(td, 0) + count

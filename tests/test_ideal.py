@@ -67,6 +67,14 @@ def test_buchberger_textbook_lex():
     assert gb_strings(gens, lex_order(XY)) == ["y^2 - 1", "x - y"]
 
 
+def test_buchberger_tail_reduction_by_a_non_monic_lead():
+    # x - y = (x - z/2) - (2*y - z)/2: interreducing x - y divides its
+    # tail by the lead coefficient 2, and its lead must be scaled with it
+    gens = [P(XYZ, "x - y"), P(XYZ, "2*y - z")]
+    assert buchberger(gens, lex_order(XYZ)) == [P(XYZ, "y - 1/2*z"),
+                                                P(XYZ, "x - 1/2*z")]
+
+
 def test_buchberger_is_canonical():
     # same ideal, different generators and order of input
     a = buchberger([P(XY, "x*y - 1"), P(XY, "y^2 - 1")], lex_order(XY))
