@@ -10,7 +10,9 @@ Matrix rank, the package's only linear-algebra routine, is computed by
 sparse fraction-free elimination of integer rows (dense rows or
 {column: value} dicts), so no floating point is involved anywhere.
 Rows and polynomials alike become integers through one helper,
-_int_form, which clears the denominators of a mapping's values.
+_int_form, which clears the denominators of a mapping's values, and
+primitive through another, _primitive, which divides out their content
+with the sign that makes a chosen leading entry positive.
 """
 
 from __future__ import annotations
@@ -67,18 +69,13 @@ class Rational:
     __radd__ = __add__
 
     def __sub__(self, other: RationalLike) -> "Rational":
-        if isinstance(other, int):
-            return Rational(self.num - other * self.den, self.den)
-        if not isinstance(other, Rational):
-            return NotImplemented
-        if self.den == 1 and other.den == 1:
-            return Rational(self.num - other.num)
-        return Rational(self.num * other.den - other.num * self.den,
-                        self.den * other.den)
+        if isinstance(other, (int, Rational)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other: RationalLike) -> "Rational":
         if isinstance(other, int):
-            return Rational(other * self.den - self.num, self.den)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other: RationalLike) -> "Rational":
@@ -94,14 +91,14 @@ class Rational:
 
     def __truediv__(self, other: RationalLike) -> "Rational":
         if isinstance(other, int):
-            return Rational(self.num, self.den * other)
-        if not isinstance(other, Rational):
-            return NotImplemented
-        return Rational(self.num * other.den, self.den * other.num)
+            other = Rational(other)
+        if isinstance(other, Rational):
+            return self * other.inverse()
+        return NotImplemented
 
     def __rtruediv__(self, other: RationalLike) -> "Rational":
         if isinstance(other, int):
-            return Rational(other * self.den, self.num)
+            return self.inverse() * other
         return NotImplemented
 
     def __neg__(self) -> "Rational":
@@ -114,10 +111,7 @@ class Rational:
         return self
 
     def __abs__(self) -> "Rational":
-        r = object.__new__(Rational)
-        r.num = abs(self.num)
-        r.den = self.den
-        return r
+        return -self if self.num < 0 else self
 
     def inverse(self) -> "Rational":
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
@@ -165,16 +159,20 @@ def rat(num: int, den: int = 1) -> Rational:
     return Rational(num, den)
 
 
-def _strip_content(terms: dict) -> None:
-    """Divide the int values of `terms` in place by their gcd."""
+def _primitive(terms: dict, lead) -> dict:
+    """Divide the int values of `terms` in place by their gcd, with the
+    sign that makes terms[lead] positive; return terms."""
     g = 0
     for v in terms.values():
         g = gcd(g, v)
         if g == 1:
-            return
-    if g > 1:
+            break
+    if terms[lead] < 0:
+        g = -g
+    if g != 1:
         for m in terms:
             terms[m] //= g
+    return terms
 
 
 def _int_form(values: Mapping) -> tuple:
@@ -203,7 +201,7 @@ def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
     Rows enter an echelon keyed by leading (smallest) column one at a
     time: while pivot p holds the row's leading column c, the row becomes
     (p[c] * row - row[c] * p) / gcd(p[c], row[c]).  A row that reaches a
-    free column is divided by its content and becomes its pivot.
+    free column is made primitive (_primitive) and becomes its pivot.
     Scaling a row by a positive integer keeps the rank, so each row first
     has its denominators cleared; the input rows are not modified.
     """
@@ -215,8 +213,7 @@ def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
             c = min(r)
             p = pivots.get(c)
             if p is None:
-                _strip_content(r)
-                pivots[c] = r
+                pivots[c] = _primitive(r, c)
                 break
             a, b = p[c], r[c]
             g = gcd(a, b)

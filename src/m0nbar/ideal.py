@@ -45,7 +45,7 @@ from math import comb, gcd
 from operator import add, le, lshift, mul, sub
 from typing import Callable, Iterable, Sequence
 
-from .arith import Rational, _int_form, _strip_content, matrix_rank
+from .arith import Rational, _int_form, _primitive, matrix_rank
 from .poly import (
     Monomial,
     MonomialOrder,
@@ -158,15 +158,6 @@ class _Gen:
         self.lc = lc
         self.tail = tail
         self.top = top
-
-
-def _normalized_gen(num: dict, packer: _Packer) -> _Gen:
-    """Content-free basis element with a positive leading coefficient."""
-    _strip_content(num)
-    if num[max(num)] < 0:
-        for m in num:
-            num[m] = -num[m]
-    return packer.gen(num)
 
 
 def _reduce(num: dict, gens: Sequence[_Gen], guard: int, first: dict,
@@ -325,7 +316,7 @@ def _buchberger(polys: list, packer: _Packer,
     for p in polys:
         r, _ = _reduce(packer.poly(p)[0], G, guard, first)
         if r:
-            _update(G, P, _normalized_gen(r, packer), packer)
+            _update(G, P, packer.gen(_primitive(r, max(r))), packer)
 
     done = 0
     while P:
@@ -333,7 +324,7 @@ def _buchberger(polys: list, packer: _Packer,
         r, _ = _reduce(_spoly(G[i], G[j], l, guard), G, guard, first)
         done += 1
         if r:
-            _update(G, P, _normalized_gen(r, packer), packer)
+            _update(G, P, packer.gen(_primitive(r, max(r))), packer)
         if progress is not None and done % 100 == 0 and P:
             progress(done, len(P), len(G))
     if progress is not None:
@@ -540,10 +531,11 @@ def saturate_by_block(I: Ideal, block: int,
     over the block's other variables x_v, shears x_last -> y - (l - x_last)
     (multidegrees are kept and y sits in x_last's slot) and saturates by
     y.  If y is a nonzerodivisor, I <= I : B^infinity <= I : l^infinity =
-    I, so I itself is returned.  Otherwise every divided generator g of
-    I : l^infinity is certified in the run's own basis: x_v^(j*k) * g in I
-    for every other block variable, where k is the largest power of y
-    divided out, and y^k * g in I holds by construction.  A certified
+    I, so I itself is returned.  Otherwise every generator g of
+    I : l^infinity that the run divided is certified in the run's own
+    basis: x_v^(j*k) * g in I for every other block variable, where k is
+    the largest power of y divided out, and y^k * g in I holds by
+    construction; an undivided basis element is in I already.  A certified
     result is sheared back and returned as its reduced grevlex basis; a
     failed certificate moves on to attempt j + 1.  All but finitely many
     l avoid the associated primes of I : B^infinity that do not contain B,
@@ -565,12 +557,14 @@ def saturate_by_block(I: Ideal, block: int,
         if J is sheared:
             return I
         basis = sheared.groebner_basis(order)
-        k = max(min(m[last] for m in g.terms) for g in basis)
+        powers = [min(m[last] for m in g.terms) for g in basis]
+        k = max(powers)
         tests = [ring.var_by_index(v) ** (j * k) * g
-                 for v in range(start, last) for g in J.gens]
+                 for v in range(start, last)
+                 for g, p in zip(J.gens, powers) if p]
         if not any(r.terms for r in _remainders(tests, basis, order)):
-            gb = buchberger([_shear(g, last, y + rest) for g in J.gens],
-                            grevlex_order(ring), progress)
+            back = Ideal(ring, [_shear(g, last, y + rest) for g in J.gens])
+            gb = back.groebner_basis(grevlex_order(ring), progress)
             return Ideal(ring, gb).with_cached_basis(grevlex_order(ring), gb)
 
 
@@ -630,16 +624,13 @@ def initial_ideal(I: Ideal, order: MonomialOrder | None = None) -> MonomialIdeal
     return MonomialIdeal(I.ring, [g.leading_monomial(order) for g in gb])
 
 
-def _hilbert_numerator(gens: tuple, memo: dict) -> tuple:
+def _hilbert_numerator(gens: tuple) -> tuple:
     """Numerator N(T) of the Hilbert series of R/M over (1-T)^nvars,
     grading every variable by 1.  gens must be minimal."""
     if not gens:
         return (1,)
     if any(sum(g) == 0 for g in gens):
         return (0,)
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
     nv = len(gens[0])
     occ = [0] * nv
     for g in gens:
@@ -654,17 +645,14 @@ def _hilbert_numerator(gens: tuple, memo: dict) -> tuple:
             # times (1 - T^deg g)
             result = _series_add(result,
                                  (0,) * sum(g) + tuple(-c for c in result))
-    else:
-        # N(M) = N(M + x) + T * N(M : x) for a single variable x
-        ex = tuple(1 if v == best else 0 for v in range(nv))
-        plus = _minimalize([ex] + [g for g in gens if not g[best]])
-        colon = _minimalize(tuple(map(sub, g, ex)) if g[best] else g
-                            for g in gens)
-        a = _hilbert_numerator(plus, memo)
-        b = _hilbert_numerator(colon, memo)
-        result = _series_add(a, (0,) + b)
-    memo[gens] = result
-    return result
+        return result
+    # N(M) = N(M + x) + T * N(M : x) for a single variable x
+    ex = tuple(1 if v == best else 0 for v in range(nv))
+    plus = _minimalize([ex] + [g for g in gens if not g[best]])
+    colon = _minimalize(tuple(map(sub, g, ex)) if g[best] else g
+                        for g in gens)
+    return _series_add(_hilbert_numerator(plus),
+                       (0,) + _hilbert_numerator(colon))
 
 
 def _series_add(a: tuple, b: tuple) -> tuple:
@@ -676,7 +664,7 @@ def _series_add(a: tuple, b: tuple) -> tuple:
 def hilbert_numerator(M: MonomialIdeal) -> list:
     """Coefficients of N(T) with H_{R/M}(T) = N(T)/(1-T)^nvars under the
     flattened grading (every variable has degree 1)."""
-    return list(_hilbert_numerator(M.gens, {}))
+    return list(_hilbert_numerator(M.gens))
 
 
 def hilbert_degree(I: Ideal) -> tuple:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from m0nbar.arith import Rational, _int_form, matrix_rank, rat
+from m0nbar.arith import Rational, _int_form, _primitive, matrix_rank, rat
 
 nonzero_ints = st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0)
 ints = st.integers(min_value=-10**6, max_value=10**6)
@@ -226,3 +226,11 @@ def test_int_form_clears_denominators():
     assert values[0] == rat(1, 2)
     assert _int_form({}) == ({}, 1)
 
+
+def test_primitive_divides_content_and_makes_lead_positive():
+    terms = {0: -4, 1: 6, 2: 2}
+    assert _primitive(terms, 0) is terms  # in place
+    assert terms == {0: 2, 1: -3, 2: -1}
+    assert _primitive({0: 6, 1: -9}, 0) == {0: 2, 1: -3}
+    assert _primitive({0: 1, 1: -2}, 1) == {0: -1, 1: 2}
+    assert _primitive({7: -5}, 7) == {7: 1}

@@ -470,6 +470,25 @@ def test_saturation_pipeline_progress_n6():
     assert sum(c[2] for c in calls) == 36
 
 
+def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
+    # (len(fs), len(basis)) of every normal-form batch of the n = 6
+    # pipeline: the generator check of each Buchberger run, and between
+    # block b's two checks its certificate, which tests only the one basis
+    # element that y divides, times each of the block's two other
+    # variables (an undivided element is in the sheared ideal already)
+    import m0nbar.ideal as ideal_module
+    batches = []
+    remainders = ideal_module._remainders
+
+    def spy(fs, basis, order):
+        batches.append((len(fs), len(basis)))
+        return remainders(fs, basis, order)
+
+    monkeypatch.setattr(ideal_module, "_remainders", spy)
+    saturation_pipeline(6)
+    assert batches == [(5, 10), (5, 11), (2, 11), (11, 7), (7, 8)]
+
+
 # -- monomial ideals and invariants ----------------------------------------
 
 

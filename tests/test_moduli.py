@@ -402,8 +402,8 @@ def test_segre_quadrics_n5():
     assert len(K.gens) == 5
     for g in K.gens:
         assert g.multidegree() == (2,)
-    # the construction already verified two-way containment; double-check
-    # it against an independent equality of reduced bases
+    # the construction already checked this equality; repeat it here on
+    # an ideal built independently of the construction
     from m0nbar.moduli import SEGRE_QUADRICS_N5
     ring = K.ring
     reference = Ideal(ring, [parse_polynomial(ring, s)
