@@ -21,7 +21,6 @@ from .ideal import (
     hilbert_degree,
     initial_ideal,
     min_gens_by_total_degree,
-    saturation_pipeline,
 )
 from .moduli import (
     boundary_graph,
@@ -30,6 +29,7 @@ from .moduli import (
     generator_count_identity,
     minor_ideal,
     quartic_equations,
+    saturation_pipeline,
     vanishing_test,
 )
 from .poly import grevlex_order, lex_order, moduli_ring

@@ -568,17 +568,6 @@ def saturate_by_block(I: Ideal, block: int,
             return Ideal(ring, gb).with_cached_basis(grevlex_order(ring), gb)
 
 
-def saturation_pipeline(n: int,
-                        progress: Progress | None = None) -> Ideal:
-    """Saturate the minor-cubic ideal by every block in turn (first
-    block first), returning the conjectured defining ideal."""
-    from .moduli import minor_ideal
-    I = minor_ideal(n)
-    for block in range(I.ring.nblocks):
-        I = saturate_by_block(I, block, progress)
-    return I
-
-
 # -- monomial ideals and graded invariants ---------------------------------
 
 

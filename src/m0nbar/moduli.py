@@ -17,7 +17,8 @@ All minors together give binomial(n-1, 4) cubics; saturating the ideal
 they generate by every block's irrelevant ideal produces one extra
 minimal generator per degree 4, 5, ..., n-3, the first layer of which
 is the six-term quartic family below (binomial(n-1, 5) equations, one
-per 5-subset of {0, ..., n-2}).
+per 5-subset of {0, ..., n-2}).  saturation_pipeline runs that
+saturation, block by block, from the cubic ideal minor_ideal(n).
 
 This module also covers the associated combinatorics: counts of
 boundary strata (trivalent leaf-labeled trees, enumerated as sets of
@@ -34,7 +35,13 @@ from math import comb, lcm
 from typing import Iterable, Sequence
 
 from .arith import Rational, _int_form, _primitive
-from .ideal import Ideal, equal_ideals, normal_form
+from .ideal import (
+    Ideal,
+    Progress,
+    equal_ideals,
+    normal_form,
+    saturate_by_block,
+)
 from .poly import (
     Polynomial,
     RingSpec,
@@ -72,26 +79,9 @@ def _sorted_by_lead(polys: Iterable[Polynomial], ring: RingSpec) -> list:
 # -- minor matrices and cubic generators -----------------------------------
 
 
-@dataclass(frozen=True)
-class MinorMatrix:
-    """The 2x(i+1) matrix attached to a pair of blocks i < j."""
-
-    block_small: int
-    block_large: int
-    row1: tuple
-    row2: tuple
-
-    def minor(self, r: int, s: int) -> Polynomial:
-        """2x2 minor on columns r < s."""
-        return self.row1[r] * self.row2[s] - self.row1[s] * self.row2[r]
-
-    def minors(self) -> list:
-        cols = len(self.row1)
-        return [self.minor(r, s) for r, s in combinations(range(cols), 2)]
-
-
 def minor_matrices(n: int) -> list:
-    """One matrix per pair of blocks 1 <= i < j <= n-3."""
+    """One 2x(i+1) matrix per pair of blocks 1 <= i < j <= n-3, by i
+    then j, as its rows (row1, row2): tuples of polynomials."""
     ring = moduli_ring(n)
     out = []
     for i in range(1, n - 3):
@@ -99,8 +89,7 @@ def minor_matrices(n: int) -> list:
             wi = [_block_var(ring, i, r) for r in range(i + 1)]
             wj = [_block_var(ring, j, r) for r in range(j + 1)]
             row1 = tuple(wi[r] * (wj[r] - wj[i + 1]) for r in range(i + 1))
-            row2 = tuple(wj[r] for r in range(i + 1))
-            out.append(MinorMatrix(i, j, row1, row2))
+            out.append((row1, tuple(wj[:i + 1])))
     return out
 
 
@@ -108,15 +97,25 @@ def cubic_generators(n: int) -> list:
     """All 2x2 minors of all minor matrices: binomial(n-1, 4) cubics,
     content-free with positive lex-leading coefficient, sorted by
     ascending graded-reverse-lex leading monomial."""
-    ring = moduli_ring(n)
-    gens = [_canonical_sign(m) for mat in minor_matrices(n)
-            for m in mat.minors()]
-    return _sorted_by_lead(gens, ring)
+    gens = [_canonical_sign(row1[r] * row2[s] - row1[s] * row2[r])
+            for row1, row2 in minor_matrices(n)
+            for r, s in combinations(range(len(row1)), 2)]
+    return _sorted_by_lead(gens, moduli_ring(n))
 
 
 def minor_ideal(n: int) -> Ideal:
     """The ideal generated by the cubic minors."""
     return Ideal(moduli_ring(n), cubic_generators(n))
+
+
+def saturation_pipeline(n: int,
+                        progress: Progress | None = None) -> Ideal:
+    """Saturate the minor-cubic ideal by every block in turn (first
+    block first), returning the conjectured defining ideal."""
+    I = minor_ideal(n)
+    for block in range(I.ring.nblocks):
+        I = saturate_by_block(I, block, progress)
+    return I
 
 
 # -- quartic equations ------------------------------------------------------
@@ -131,26 +130,26 @@ def quartic_tuples(n: int) -> list:
                   key=lambda t: t[::-1])
 
 
-def _quartic_indices(n: int, tup: Sequence[int]) -> tuple:
-    """tup, checked against 0 <= i < j <= k < l < m <= n-3."""
+def _quartic_coordinates(n: int, tup: Sequence[int]) -> tuple:
+    """The eight block coordinates of one quartic, named (block, index):
+    (ik, jk, il, jl, kl, jm, km, lm) = w_i, w_j of block k; w_i, w_j,
+    w_(k+1) of block l; w_j, w_(k+1), w_(l+1) of block m.  Raises
+    ValueError unless 0 <= i < j <= k < l < m <= n-3."""
     i, j, k, l, m = tup
     if not 0 <= i < j <= k < l < m <= n - 3:
         raise ValueError(f"{tuple(tup)} is no quartic index tuple at n={n}")
-    return i, j, k, l, m
+    ring = moduli_ring(n)
+    return tuple(_block_var(ring, block, r) for block, r in (
+        (k, i), (k, j), (l, i), (l, j), (l, k + 1),
+        (m, j), (m, k + 1), (m, l + 1)))
 
 
 def quartic_equation(n: int, tup: Sequence[int]) -> Polynomial:
     """The six-term quartic generator for one index tuple."""
-    i, j, k, l, m = _quartic_indices(n, tup)
-    ring = moduli_ring(n)
-    w = _block_var
-    return _canonical_sign(
-        w(ring, k, i) * w(ring, l, i) * w(ring, m, j) * w(ring, m, k + 1)
-        - w(ring, k, i) * w(ring, l, k + 1) * w(ring, m, j) * w(ring, m, k + 1)
-        - w(ring, k, i) * w(ring, l, i) * w(ring, m, j) * w(ring, m, l + 1)
-        + w(ring, k, j) * w(ring, l, i) * w(ring, m, j) * w(ring, m, l + 1)
-        + w(ring, k, i) * w(ring, l, k + 1) * w(ring, m, j) * w(ring, m, l + 1)
-        - w(ring, k, j) * w(ring, l, i) * w(ring, m, k + 1) * w(ring, m, l + 1))
+    ik, jk, il, jl, kl, jm, km, lm = _quartic_coordinates(n, tup)
+    return _canonical_sign(ik * il * jm * km - ik * kl * jm * km
+                           - ik * il * jm * lm + jk * il * jm * lm
+                           + ik * kl * jm * lm - jk * il * km * lm)
 
 
 def quartic_raw_form(n: int, tup: Sequence[int]) -> Polynomial:
@@ -158,12 +157,7 @@ def quartic_raw_form(n: int, tup: Sequence[int]) -> Polynomial:
     combination of products of block coordinates that vanish on the
     cross-ratio locus.  Differs from quartic_equation by an element of
     the cubic ideal."""
-    i, j, k, l, m = _quartic_indices(n, tup)
-    ring = moduli_ring(n)
-    w = _block_var
-    ik, jk = w(ring, k, i), w(ring, k, j)
-    il, jl, kl = w(ring, l, i), w(ring, l, j), w(ring, l, k + 1)
-    jm, km, lm = w(ring, m, j), w(ring, m, k + 1), w(ring, m, l + 1)
+    ik, jk, il, jl, kl, jm, km, lm = _quartic_coordinates(n, tup)
     return (km * lm * (ik * jl - jk * il)
             + lm * jm * (jk * il - ik * il)
             + jm * km * (ik * il - ik * jl))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, product
-from math import comb
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -338,17 +337,6 @@ def _compositions(total: int, parts: int) -> Iterator:
     for first in range(total, -1, -1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def count_monomials_of_multidegree(ring: RingSpec, degree: Sequence[int]) -> int:
-    if len(degree) != ring.nblocks:
-        raise ValueError("degree vector length does not match block count")
-    if any(d < 0 for d in degree):
-        return 0
-    out = 1
-    for d, s in zip(degree, ring.block_sizes):
-        out *= comb(d + s - 1, s - 1)
-    return out
 
 
 def monomials_of_multidegree(ring: RingSpec, degree: Sequence[int]) -> list:

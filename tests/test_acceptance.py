@@ -26,7 +26,6 @@ from m0nbar.ideal import (
     hilbert_degree,
     initial_ideal,
     min_gens_by_total_degree,
-    saturation_pipeline,
 )
 from m0nbar.moduli import (
     boundary_graph,
@@ -37,6 +36,7 @@ from m0nbar.moduli import (
     quartic_equations,
     quartic_membership_witness,
     quartic_tuples,
+    saturation_pipeline,
     segre_quadrics_n5,
     stable_tree_count,
     vanishing_test,

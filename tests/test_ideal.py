@@ -26,10 +26,10 @@ from m0nbar.ideal import (
     normal_form,
     saturate_by_block,
     saturate_by_variable,
-    saturation_pipeline,
     spolynomial,
 )
 from m0nbar.ideal import _Overflow, _Packer
+from m0nbar.moduli import saturation_pipeline
 from m0nbar.poly import (
     MonomialOrder,
     Polynomial,

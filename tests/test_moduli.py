@@ -22,7 +22,6 @@ from m0nbar.ideal import (
     graded_piece_dim,
     hilbert_degree,
     min_gens_by_total_degree,
-    saturation_pipeline,
 )
 from m0nbar.moduli import (
     BoundaryDivisor,
@@ -41,6 +40,7 @@ from m0nbar.moduli import (
     quartic_membership_witness,
     quartic_raw_form,
     quartic_tuples,
+    saturation_pipeline,
     segre_quadrics_n5,
     stable_tree_count,
     vanishing_test,
@@ -519,3 +519,22 @@ def test_format_generator_file():
     ring = moduli_ring(6)
     parsed = [parse_polynomial(ring, s) for s in lines[1:]]
     assert parsed == expected(6, CUBICS_N6) + expected(6, [QUARTIC_N6])
+
+
+# sha256 of `m0nbar gen n --deg4`, the generator lists past the golden
+# ones: n = 8 (35 cubics, 21 quartics), n = 9, and n = 10, whose ring
+# names its variables w<i>_<j>
+GENERATOR_FILE_SHA256 = {
+    8: "feb2a893396782929238b4c6899379502127b2d763e3c7418d20f8532738de1f",
+    9: "ceee75d8fca7fb01f671976227f07e2d4f97530ef9c125eda429d324d319d6da",
+    10: "1733a85dc45223bfb922a26d05bf96c26a6763a7305583265622990383708286",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GENERATOR_FILE_SHA256))
+def test_generator_file_pinned_past_golden_lists(n):
+    text = format_generator_file(n, include_quartics=True)
+    assert text.splitlines()[0] == (
+        f"# n={n} cubics={comb(n - 1, 4)} quartics={comb(n - 1, 5)}")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        GENERATOR_FILE_SHA256[n])
