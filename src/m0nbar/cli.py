@@ -167,7 +167,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("saturate",
-                       help="saturate the cubic ideal and summarize")
+                       help="saturate the cubics and quartics and summarize")
     p.add_argument("n", type=int)
     p.add_argument("--order", choices=("lex", "grevlex"), default="lex",
                    help="term order for the printed basis")

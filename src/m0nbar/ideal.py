@@ -525,7 +525,7 @@ def _shear(p: Polynomial, idx: int, lin: Polynomial) -> Polynomial:
 def saturate_by_block(I: Ideal, block: int,
                       progress: Progress | None = None) -> Ideal:
     """Saturate a homogeneous I by the irrelevant ideal B of one block,
-    with one Bayer-Stillman run per attempt j = 1, 2, ...
+    with one Bayer-Stillman run per attempt j = 1, 2, ..., 10.
 
     Attempt j takes the linear form l = x_last + sum of j^(last - v) * x_v
     over the block's other variables x_v, shears x_last -> y - (l - x_last)
@@ -539,8 +539,10 @@ def saturate_by_block(I: Ideal, block: int,
     result is sheared back and returned as its reduced grevlex basis; a
     failed certificate moves on to attempt j + 1.  All but finitely many
     l avoid the associated primes of I : B^infinity that do not contain B,
-    and B^M (I : B^infinity) <= I for one M, so some attempt succeeds.
-    Raises ValueError unless 0 <= block < nblocks."""
+    and B^M (I : B^infinity) <= I for one M, so some attempt succeeds;
+    every block of saturation_pipeline up to n = 8 is done at j = 1.
+    Raises ValueError unless 0 <= block < nblocks, and RuntimeError if no
+    attempt is certified, which points to a wrong Groebner basis."""
     ring = I.ring
     if not 0 <= block < ring.nblocks:
         raise ValueError(f"no block {block} among {ring.nblocks}")
@@ -549,7 +551,7 @@ def saturate_by_block(I: Ideal, block: int,
     y = ring.var_by_index(last)
     order = MonomialOrder(ring, [[v for v in range(ring.nvars) if v != last]
                                  + [last]])
-    for j in count(1):
+    for j in range(1, 11):
         rest = sum((j ** (last - v) * ring.var_by_index(v)
                     for v in range(start, last)), ring.zero())
         sheared = Ideal(ring, [_shear(g, last, y - rest) for g in I.gens])
@@ -566,6 +568,8 @@ def saturate_by_block(I: Ideal, block: int,
             back = Ideal(ring, [_shear(g, last, y + rest) for g in J.gens])
             gb = back.groebner_basis(grevlex_order(ring), progress)
             return Ideal(ring, gb).with_cached_basis(grevlex_order(ring), gb)
+    raise RuntimeError(f"block {block}: no saturation certified in "
+                       f"{j} attempts")
 
 
 # -- monomial ideals and graded invariants ---------------------------------

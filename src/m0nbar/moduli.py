@@ -17,8 +17,9 @@ All minors together give binomial(n-1, 4) cubics; saturating the ideal
 they generate by every block's irrelevant ideal produces one extra
 minimal generator per degree 4, 5, ..., n-3, the first layer of which
 is the six-term quartic family below (binomial(n-1, 5) equations, one
-per 5-subset of {0, ..., n-2}).  saturation_pipeline runs that
-saturation, block by block, from the cubic ideal minor_ideal(n).
+per 5-subset of {0, ..., n-2}).  saturation_pipeline saturates the
+ideal of the cubics and the quartics together, block by block: the
+same saturation, without rediscovering the quartics.
 
 This module also covers the associated combinatorics: counts of
 boundary strata (trivalent leaf-labeled trees, enumerated as sets of
@@ -110,9 +111,11 @@ def minor_ideal(n: int) -> Ideal:
 
 def saturation_pipeline(n: int,
                         progress: Progress | None = None) -> Ideal:
-    """Saturate the minor-cubic ideal by every block in turn (first
-    block first), returning the conjectured defining ideal."""
-    I = minor_ideal(n)
+    """Saturate the ideal of the cubics and the quartics by every block
+    in turn (first block first), returning the conjectured defining
+    ideal.  Saturating minor_ideal(n) gives the same ideal (checked up
+    to n = 8), but spends most of its S-pairs finding the quartics."""
+    I = Ideal(moduli_ring(n), cubic_generators(n) + quartic_equations(n))
     for block in range(I.ring.nblocks):
         I = saturate_by_block(I, block, progress)
     return I

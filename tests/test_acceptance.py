@@ -16,7 +16,15 @@ from test_engine_random import (
     random_poly,
     spoly_certificate,
 )
-from test_moduli import CUBIC_N5, CUBICS_N6, CUBICS_N7, QUARTIC_N6, QUARTICS_N7, expected
+from test_moduli import (
+    CUBIC_N5,
+    CUBICS_N6,
+    CUBICS_N7,
+    QUARTIC_N6,
+    QUARTICS_N7,
+    cubic_route,
+    expected,
+)
 
 from m0nbar.ideal import (
     Ideal,
@@ -128,12 +136,16 @@ def test_criterion_05_saturation_n5():
 
 def test_criterion_06_saturation_n6():
     def body():
+        # the pipeline starts from the cubics and the quartic, so the
+        # discovery of f6 is checked on the cubic route
         I = saturation_pipeline(6)
+        C = cubic_route(6)
         ring = I.ring
         J = minor_ideal(6)
         f6 = quartic_equations(6)[0]
-        return (contains(I, f6)
+        return (contains(C, f6)
                 and not contains(J, f6)
+                and equal_ideals(C, Ideal(ring, list(J.gens) + [f6]))
                 and equal_ideals(I, Ideal(ring, list(J.gens) + [f6]))
                 and min_gens_by_total_degree(I) == {3: 5, 4: 1}
                 and hilbert_degree(I) == (3, 15)

@@ -20,10 +20,11 @@ SATURATE_7_SHA256 = (
     "80ba43a1e51d6f6d4ef4578a40e654aae34d338df2c9fed8a3ae7a3c639e4953")
 SATURATE_6_GREVLEX_SHA256 = (
     "903683d866ac6b8e7c15ee917d1bb8238dfdff41f92dab4cc50d17be95a673e4")
-# the 27 progress lines of saturate 7 on stderr; their queued counts
-# must be live pairs only
+# the 13 progress lines of saturate 7 on stderr, from the pipeline that
+# starts at the cubics and the quartics; their queued counts must be live
+# pairs only
 SATURATE_7_PROGRESS_SHA256 = (
-    "c4a6ce3dbf169aa3b7125db717b76a3ef445b397b5a3028f990a6b0375cb0e9d")
+    "ed5b58d6eac753514f83f04a846600a07a90138def84dcdbb85b822294d72969")
 # sha256 of the full stdout of two verify runs: a change to the vanishing
 # test must keep the printed checks and counts byte for byte
 VERIFY_7_SHA256 = (
@@ -230,7 +231,8 @@ def test_saturate_n7_reports_progress(capsys):
     assert "lex initial ideal square-free: yes" in lines
     assert sha256(out) == SATURATE_7_SHA256
     progress = [l for l in err.splitlines() if l.startswith("S-pairs:")]
-    assert len(progress) == 27
-    # each of the 6 Groebner runs reports its end once
-    assert sum(", 0 queued" in l for l in progress) == 6
+    assert len(progress) == 13
+    # each of the 5 Groebner runs reports its end once: one per block,
+    # and block b's reduced grevlex basis after its certificate
+    assert sum(", 0 queued" in l for l in progress) == 5
     assert sha256("\n".join(progress)) == SATURATE_7_PROGRESS_SHA256

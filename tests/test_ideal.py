@@ -7,8 +7,11 @@ intersection of monomial ideals.
 """
 
 import random
+import sys
 
 import pytest
+
+from test_moduli import cubic_route
 
 from m0nbar.arith import rat
 from m0nbar.ideal import (
@@ -455,27 +458,56 @@ def test_saturate_by_block_certifies_every_block_variable():
     assert runs == 2
 
 
+def test_saturate_by_block_gives_up_after_ten_attempts(monkeypatch):
+    # every form in x0, x1 is a zerodivisor mod <x0*z, x1*z>, and each
+    # certificate is forced to fail here: the retry must end in an error
+    # that names the block, not run forever
+    import m0nbar.ideal as ideal_module
+    remainders = ideal_module._remainders
+    certificates = []
+
+    def failing_certificate(fs, basis, order):
+        # the certificate is the one call made from saturate_by_block
+        # itself; the generator checks of the runs stay real
+        if sys._getframe(1).f_code.co_name != "saturate_by_block":
+            return remainders(fs, basis, order)
+        certificates.append(len(fs))
+        return list(fs)
+
+    monkeypatch.setattr(ideal_module, "_remainders", failing_certificate)
+    ring = polynomial_ring(["x0", "x1", "z"], block_sizes=(2, 1))
+    I = Ideal(ring, [P(ring, "x0*z"), P(ring, "x1*z")])
+    with pytest.raises(RuntimeError, match="block 0: .* 10 attempts"):
+        saturate_by_block(I, 0)
+    assert certificates == [1] * 10
+
+
 def test_saturation_pipeline_progress_n6():
     # every Buchberger run of the n = 6 pipeline reports once, at its
     # end: (S-pairs processed, 0 queued, basis size before
     # interreduction); the benchmark reads its per-run counts from here.
-    # Blocks a and c stop after one run (their first linear form is a
-    # nonzerodivisor); block b takes one run for its first form and one
-    # for the reduced grevlex basis of the certified saturation.
+    # The pipeline starts from the five cubics and the quartic, an ideal
+    # that is already saturated: every block's first linear form is a
+    # nonzerodivisor, so each of the three blocks stops after one run.
     calls = []
     saturation_pipeline(6, lambda *args: calls.append(args))
+    assert calls == [(11, 0, 7), (12, 0, 8), (12, 0, 8)]
+    assert len(calls) == 3
+    assert sum(c[0] for c in calls) == 35
+    assert sum(c[2] for c in calls) == 23
+    # from the cubics alone, blocks a and c stop after one run; block b
+    # takes one run for its first form and one for the reduced grevlex
+    # basis of the certified saturation, which adds the quartic
+    calls = []
+    cubic_route(6, lambda *args: calls.append(args))
     assert calls == [(23, 0, 10), (24, 0, 11), (11, 0, 7), (12, 0, 8)]
-    assert len(calls) == 4
-    assert sum(c[0] for c in calls) == 70
-    assert sum(c[2] for c in calls) == 36
 
 
 def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
     # (len(fs), len(basis)) of every normal-form batch of the n = 6
-    # pipeline: the generator check of each Buchberger run, and between
-    # block b's two checks its certificate, which tests only the one basis
-    # element that y divides, times each of the block's two other
-    # variables (an undivided element is in the sheared ideal already)
+    # pipeline: the generator check of each block's one Buchberger run on
+    # the six sheared cubics and quartic.  No block divides by its linear
+    # form, so no block runs a certificate (see the progress test above).
     import m0nbar.ideal as ideal_module
     batches = []
     remainders = ideal_module._remainders
@@ -486,6 +518,13 @@ def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
 
     monkeypatch.setattr(ideal_module, "_remainders", spy)
     saturation_pipeline(6)
+    assert batches == [(6, 7), (6, 8), (6, 8)]
+    # from the cubics alone, block b's certificate sits between its two
+    # checks: it tests only the one basis element that y divides, times
+    # each of the block's two other variables (an undivided element is in
+    # the sheared ideal already)
+    batches.clear()
+    cubic_route(6)
     assert batches == [(5, 10), (5, 11), (2, 11), (11, 7), (7, 8)]
 
 

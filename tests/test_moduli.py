@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from m0nbar.arith import rat
+from m0nbar.cli import main
 from m0nbar.ideal import (
     Ideal,
     contains,
@@ -22,6 +23,7 @@ from m0nbar.ideal import (
     graded_piece_dim,
     hilbert_degree,
     min_gens_by_total_degree,
+    saturate_by_block,
 )
 from m0nbar.moduli import (
     BoundaryDivisor,
@@ -224,7 +226,8 @@ def test_embedding_is_affine_invariant():
 
 
 def test_vanishing_small():
-    for n in (5, 6, 7, 8):
+    # n = 9 (70 cubics, 56 quartics) is past what the verify command takes
+    for n in (5, 6, 7, 8, 9):
         report = vanishing_test(n, trials=5, seed=11)
         assert report.ok
         assert report.equations == comb(n - 1, 4) + comb(n - 1, 5)
@@ -360,6 +363,24 @@ def cubic_quartic_ideal(n):
     return Ideal(moduli_ring(n), cubic_generators(n) + quartic_equations(n))
 
 
+def cubic_route(n, progress=None):
+    """The oracle for saturation_pipeline: the same saturate_by_block
+    loop over every block, started from the cubics alone, so that the
+    saturation has to find the quartics itself."""
+    I = minor_ideal(n)
+    for block in range(I.ring.nblocks):
+        I = saturate_by_block(I, block, progress)
+    return I
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_saturation_pipeline_matches_the_cubic_route(n):
+    # saturating the cubics recovers the quartics and nothing more, so
+    # both starting ideals give the same reduced grevlex basis
+    assert saturation_pipeline(n).groebner_basis() == (
+        cubic_route(n).groebner_basis())
+
+
 def test_invariants_n7_real_size():
     # Macaulay matrices up to 517 x 900: the sparse rank kernel at size
     I = cubic_quartic_ideal(7)
@@ -377,21 +398,31 @@ def test_invariants_n8_match_predictions():
     assert hilbert_degree(I) == (10, stable_tree_count(8))
 
 
+# sha256 of the full stdout of saturate 8 (lex basis and invariants)
+SATURATE_8_SHA256 = (
+    "8767445be03af42671d8839bf64a6cc21e40412f42fdf5d77295cdba112fabe4")
+
+
 @pytest.mark.skipif(os.environ.get("M0NBAR_SLOW") != "1",
                     reason="the n = 8 saturation takes minutes; set M0NBAR_SLOW=1")
-def test_saturation_pipeline_n8_matches_predictions():
+def test_saturation_pipeline_n8_matches_predictions(capsys):
     # the paper's pattern: binomial(n - 1, d + 1) minimal generators of
     # each degree d, codimension (n - 3)(n - 4)/2, degree (2n - 7)!!
     I = saturation_pipeline(8)
     # sha256 of the 171 printed elements of the reduced grevlex basis, one
     # per line, as the route of per-variable saturations and their
-    # intersections computed it
-    text = "\n".join(str(g) for g in I.groebner_basis())
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "157bd8a33969db3fead1d76b39a5f86bf10ca5c13eddd21026fabb86310aff1e")
+    # intersections of the cubic ideal computed it; the cubic route and
+    # the pipeline must both reproduce it
+    for ideal in (cubic_route(8), I):
+        text = "\n".join(str(g) for g in ideal.groebner_basis())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "157bd8a33969db3fead1d76b39a5f86bf10ca5c13eddd21026fabb86310aff1e")
     assert min_gens_by_total_degree(I) == {d: comb(7, d + 1)
                                            for d in range(3, 7)}
     assert hilbert_degree(I) == (10, stable_tree_count(8))
+    assert main(["saturate", "8"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SATURATE_8_SHA256
 
 
 # -- Segre re-embedding -------------------------------------------------------
