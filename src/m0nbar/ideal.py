@@ -26,10 +26,11 @@ equal ideals yield identical bases.
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
 with v as the smallest variable, whose basis elements divided by their
 largest powers of v generate the saturation (Bayer-Stillman).  A block
-is saturated the same way by a linear form l of its variables, after a
-shear that puts l in a variable's slot; normal forms against that run's
-basis certify that the result is the block saturation, and a failed
-certificate retries with the next of a fixed sequence of forms.  Ideal
+is saturated the same way by one element l of its irrelevant ideal:
+first its bare last variable, then linear forms of its variables, each
+after a shear that puts l in that variable's slot; normal forms against
+that run's basis certify that the result is the block saturation, and a
+failed certificate retries with the next of the fixed sequence.  Ideal
 intersection is the only place that adjoins a variable: it builds the
 ring with one more variable t and eliminates t from t*I + (1-t)*J.
 Graded invariants (piece dimensions, minimal generator counts, Hilbert
@@ -525,22 +526,24 @@ def _shear(p: Polynomial, idx: int, lin: Polynomial) -> Polynomial:
 def saturate_by_block(I: Ideal, block: int,
                       progress: Progress | None = None) -> Ideal:
     """Saturate a homogeneous I by the irrelevant ideal B of one block,
-    with one Bayer-Stillman run per attempt j = 1, 2, ..., 10.
+    with one Bayer-Stillman run per attempt j = 0, 1, ..., 9.
 
     Attempt j takes the linear form l = x_last + sum of j^(last - v) * x_v
-    over the block's other variables x_v, shears x_last -> y - (l - x_last)
-    (multidegrees are kept and y sits in x_last's slot) and saturates by
-    y.  If y is a nonzerodivisor, I <= I : B^infinity <= I : l^infinity =
-    I, so I itself is returned.  Otherwise every generator g of
-    I : l^infinity that the run divided is certified in the run's own
-    basis: x_v^(j*k) * g in I for every other block variable, where k is
-    the largest power of y divided out, and y^k * g in I holds by
-    construction; an undivided basis element is in I already.  A certified
-    result is sheared back and returned as its reduced grevlex basis; a
-    failed certificate moves on to attempt j + 1.  All but finitely many
-    l avoid the associated primes of I : B^infinity that do not contain B,
-    and B^M (I : B^infinity) <= I for one M, so some attempt succeeds;
-    every block of saturation_pipeline up to n = 8 is done at j = 1.
+    over the block's other variables x_v, so attempt 0 takes x_last
+    itself and saturates by it unsheared.  Attempt j > 0 shears
+    x_last -> y - (l - x_last) (multidegrees are kept and y sits in
+    x_last's slot) and saturates by y.  Any l in B will do: if y is a
+    nonzerodivisor, I <= I : B^infinity <= I : l^infinity = I, so I itself
+    is returned.  Otherwise every generator g of I : l^infinity that the
+    run divided is certified in the run's own basis: x_v^(max(j, 1)*k) * g
+    in I for every other block variable, where k is the largest power of
+    y divided out, and y^k * g in I holds by construction; an undivided
+    basis element is in I already.  A certified result is sheared back and
+    returned as its reduced grevlex basis; a failed certificate moves on
+    to attempt j + 1.  All but finitely many l avoid the associated primes
+    of I : B^infinity that do not contain B, and B^M (I : B^infinity) <= I
+    for one M, so some attempt succeeds; every block of
+    saturation_pipeline up to n = 8 is settled at j = 0.
     Raises ValueError unless 0 <= block < nblocks, and RuntimeError if no
     attempt is certified, which points to a wrong Groebner basis."""
     ring = I.ring
@@ -551,25 +554,27 @@ def saturate_by_block(I: Ideal, block: int,
     y = ring.var_by_index(last)
     order = MonomialOrder(ring, [[v for v in range(ring.nvars) if v != last]
                                  + [last]])
-    for j in range(1, 11):
+    for j in range(10):
         rest = sum((j ** (last - v) * ring.var_by_index(v)
                     for v in range(start, last)), ring.zero())
-        sheared = Ideal(ring, [_shear(g, last, y - rest) for g in I.gens])
+        sheared = (Ideal(ring, [_shear(g, last, y - rest) for g in I.gens])
+                   if j else I)
         J = saturate_by_variable(sheared, last, progress)
         if J is sheared:
             return I
         basis = sheared.groebner_basis(order)
         powers = [min(m[last] for m in g.terms) for g in basis]
         k = max(powers)
-        tests = [ring.var_by_index(v) ** (j * k) * g
+        tests = [ring.var_by_index(v) ** (max(j, 1) * k) * g
                  for v in range(start, last)
                  for g, p in zip(J.gens, powers) if p]
         if not any(r.terms for r in _remainders(tests, basis, order)):
-            back = Ideal(ring, [_shear(g, last, y + rest) for g in J.gens])
+            back = (Ideal(ring, [_shear(g, last, y + rest) for g in J.gens])
+                    if j else J)
             gb = back.groebner_basis(grevlex_order(ring), progress)
             return Ideal(ring, gb).with_cached_basis(grevlex_order(ring), gb)
     raise RuntimeError(f"block {block}: no saturation certified in "
-                       f"{j} attempts")
+                       f"{j + 1} attempts")
 
 
 # -- monomial ideals and graded invariants ---------------------------------

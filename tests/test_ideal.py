@@ -394,17 +394,17 @@ def test_saturation_matches_aux_variable_oracle(seed):
 
 def test_saturate_by_block_stops_at_a_nonzerodivisor():
     ring = polynomial_ring(["a0", "a1", "b0", "b1"], block_sizes=(2, 2))
-    # a1 is a zerodivisor mod I (I : a1^infinity = <b0, b1^2>), but the
-    # first linear form a0 + a1 is not, so I : <a0, a1>^infinity = I after
-    # one run with no certificate
-    I = Ideal(ring, [P(ring, "a1*b0"), P(ring, "a1*b1^2 - b0*b1^2")])
-    assert saturate_by_variable(I, "a0") is I
-    assert not equal_ideals(oracle_saturation(I, 1), I)
+    # a0 is a zerodivisor mod I (I : a0^infinity = <b0, b1^2>), but the
+    # block's last variable a1, the first attempt, is not, so
+    # I : <a0, a1>^infinity = I after one run with no certificate
+    I = Ideal(ring, [P(ring, "a0*b0"), P(ring, "a0*b1^2 - b0*b1^2")])
+    assert saturate_by_variable(I, "a1") is I
+    assert not equal_ideals(oracle_saturation(I, 0), I)
     assert saturate_by_block(I, 0) is I
     want = intersect(oracle_saturation(I, 0), oracle_saturation(I, 1))
     assert equal_ideals(want, I)
-    # here a0 + a1 is a zerodivisor: J : (a0 + a1)^infinity = <b0>, which
-    # the certificate accepts at the first attempt (a0*b0 is in J)
+    # here a1 is a zerodivisor: J : a1^infinity = <b0>, which the
+    # certificate accepts at the first attempt (a0*b0 is in J)
     J = Ideal(ring, [P(ring, "a0*b0"), P(ring, "a1*b0")])
     S = saturate_by_block(J, 0)
     assert S is not J
@@ -425,43 +425,47 @@ def block_saturation_and_runs(I, block):
 
 
 def test_saturate_by_block_retries_past_a_zerodivisor_form():
-    # the first form x0 + x1 is a zerodivisor: I : (x0 + x1)^infinity =
-    # <z>, but x0*z is not in I, so the certificate fails; the second
-    # form x1 + 2*x0 is a nonzerodivisor and I comes back unchanged
+    # the bare last variable x1 divides: I : x1^infinity = <z>, but x0*z
+    # is not in I, so the certificate fails and <z>, which the oracle
+    # rejects, is not returned; the next form x1 + x0 is a nonzerodivisor
+    # and I comes back unchanged
     ring = polynomial_ring(["x0", "x1", "z"], block_sizes=(2, 1))
-    I = Ideal(ring, [P(ring, "x0*z + x1*z")])
+    I = Ideal(ring, [P(ring, "x1*z")])
     S, runs = block_saturation_and_runs(I, 0)
     assert S is I
     assert runs == 2
+    assert [str(g) for g in saturate_by_variable(I, "x1").gens] == ["z"]
 
 
 def test_saturate_by_block_retries_with_a_higher_power():
-    # I = <z> & <x0 + x1, x0^5>: the first form divides out only y^1,
-    # and x0^1 * z is not in I; the second form divides out y^5 and
-    # x0^10 * z is in I, so the second attempt is certified and
+    # I = <z> & <x1, x0^5>: the bare x1 divides out only x1^1, and
+    # x0^1 * z is not in I; the form x1 + x0, sheared to y, divides out
+    # y^5 and x0^5 * z is in I, so the second attempt is certified and
     # interreduced to <z>
     ring = polynomial_ring(["x0", "x1", "z"], block_sizes=(2, 1))
-    I = Ideal(ring, [P(ring, "x0*z + x1*z"), P(ring, "x0^5*z")])
+    I = Ideal(ring, [P(ring, "x1*z"), P(ring, "x0^5*z")])
     S, runs = block_saturation_and_runs(I, 0)
     assert [str(g) for g in S.gens] == ["z"]
     assert runs == 3
 
 
 def test_saturate_by_block_certifies_every_block_variable():
-    # I = <z> & <x0, x1 + x2>: the first form x0 + x1 + x2 lies in the
-    # second prime, and x0*z is in I while x1*z is not, so only a
-    # certificate that tests x1 as well rejects <z>
+    # I = <z> & <x0, x2>: the bare last variable x2 lies in the second
+    # prime, and x0*z is in I while x1*z is not, so only a certificate
+    # that tests x1 as well rejects <z>; the next form x2 + x1 + x0 is a
+    # nonzerodivisor
     ring = polynomial_ring(["x0", "x1", "x2", "z"], block_sizes=(3, 1))
-    I = Ideal(ring, [P(ring, "x0*z"), P(ring, "x1*z + x2*z")])
+    I = Ideal(ring, [P(ring, "x0*z"), P(ring, "x2*z")])
     S, runs = block_saturation_and_runs(I, 0)
     assert S is I
     assert runs == 2
 
 
 def test_saturate_by_block_gives_up_after_ten_attempts(monkeypatch):
-    # every form in x0, x1 is a zerodivisor mod <x0*z, x1*z>, and each
-    # certificate is forced to fail here: the retry must end in an error
-    # that names the block, not run forever
+    # every form in x0, x1, the bare x1 first, is a zerodivisor mod
+    # <x0*z, x1*z>, and each certificate is forced to fail here: the
+    # retry must end in an error that names the block and counts its ten
+    # attempts, not run forever
     import m0nbar.ideal as ideal_module
     remainders = ideal_module._remainders
     certificates = []
@@ -487,27 +491,28 @@ def test_saturation_pipeline_progress_n6():
     # end: (S-pairs processed, 0 queued, basis size before
     # interreduction); the benchmark reads its per-run counts from here.
     # The pipeline starts from the five cubics and the quartic, an ideal
-    # that is already saturated: every block's first linear form is a
+    # that is already saturated: every block's last variable is a
     # nonzerodivisor, so each of the three blocks stops after one run.
     calls = []
     saturation_pipeline(6, lambda *args: calls.append(args))
-    assert calls == [(11, 0, 7), (12, 0, 8), (12, 0, 8)]
+    assert calls == [(11, 0, 7), (11, 0, 7), (11, 0, 7)]
     assert len(calls) == 3
-    assert sum(c[0] for c in calls) == 35
-    assert sum(c[2] for c in calls) == 23
-    # from the cubics alone, blocks a and c stop after one run; block b
-    # takes one run for its first form and one for the reduced grevlex
-    # basis of the certified saturation, which adds the quartic
+    assert sum(c[0] for c in calls) == 33
+    assert sum(c[2] for c in calls) == 21
+    # from the cubics alone, block a stops after one run; block b takes
+    # one run for its last variable and one for the reduced grevlex basis
+    # of the certified saturation, which adds the quartic; block c's
+    # order is grevlex itself, so it reads that basis and runs nothing
     calls = []
     cubic_route(6, lambda *args: calls.append(args))
-    assert calls == [(23, 0, 10), (24, 0, 11), (11, 0, 7), (12, 0, 8)]
+    assert calls == [(23, 0, 10), (23, 0, 10), (11, 0, 7)]
 
 
 def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
     # (len(fs), len(basis)) of every normal-form batch of the n = 6
     # pipeline: the generator check of each block's one Buchberger run on
-    # the six sheared cubics and quartic.  No block divides by its linear
-    # form, so no block runs a certificate (see the progress test above).
+    # the six cubics and quartic.  No block divides by its last variable,
+    # so no block runs a certificate (see the progress test above).
     import m0nbar.ideal as ideal_module
     batches = []
     remainders = ideal_module._remainders
@@ -518,14 +523,33 @@ def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
 
     monkeypatch.setattr(ideal_module, "_remainders", spy)
     saturation_pipeline(6)
-    assert batches == [(6, 7), (6, 8), (6, 8)]
+    assert batches == [(6, 7), (6, 7), (6, 7)]
     # from the cubics alone, block b's certificate sits between its two
-    # checks: it tests only the one basis element that y divides, times
+    # checks: it tests only the one basis element that b2 divides, times
     # each of the block's two other variables (an undivided element is in
-    # the sheared ideal already)
+    # the ideal already)
     batches.clear()
     cubic_route(6)
-    assert batches == [(5, 10), (5, 11), (2, 11), (11, 7), (7, 8)]
+    assert batches == [(5, 10), (5, 10), (2, 10), (10, 7)]
+
+
+@pytest.mark.parametrize("n, runs", [(5, 2), (6, 3), (7, 4)])
+def test_saturation_pipeline_settles_every_block_unsheared(monkeypatch,
+                                                           n, runs):
+    # every block is settled by its bare last variable: no shear, one run
+    # per block, and at n = 7 one more for block b's certified saturation
+    # (b2 divides with k = 1); the last block's order is grevlex itself,
+    # so at n = 7 it reads the basis block b's result carries and runs
+    # nothing
+    import m0nbar.ideal as ideal_module
+
+    def no_shear(*args):
+        raise AssertionError("saturation_pipeline sheared a block")
+
+    monkeypatch.setattr(ideal_module, "_shear", no_shear)
+    calls = []
+    saturation_pipeline(n, lambda *args: calls.append(args))
+    assert sum(queued == 0 for _, queued, _ in calls) == runs
 
 
 # -- monomial ideals and invariants ----------------------------------------
