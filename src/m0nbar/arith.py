@@ -18,6 +18,7 @@ with the sign that makes a chosen leading entry positive.
 from __future__ import annotations
 
 from functools import total_ordering
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -202,15 +203,23 @@ def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
     time: while pivot p holds the row's leading column c, the row becomes
     (p[c] * row - row[c] * p) / gcd(p[c], row[c]).  A row that reaches a
     free column is made primitive (_primitive) and becomes its pivot.
-    Scaling a row by a positive integer keeps the rank, so each row first
-    has its denominators cleared; the input rows are not modified.
+    A heap of the row's columns gives its next leading column: fill-in
+    columns are pushed, cancelled ones skipped when popped (no pivot
+    has a column left of its leading one, so none comes back once
+    passed).  Scaling a row by a positive integer keeps the rank, so
+    each row first has its denominators cleared; the input rows are not
+    modified.
     """
     pivots: dict = {}
     for row in rows:
         r, _ = _int_form(row if isinstance(row, Mapping)
                          else dict(enumerate(row)))
+        heap = list(r)
+        heapify(heap)
         while r:
-            c = min(r)
+            c = heappop(heap)
+            if c not in r:
+                continue
             p = pivots.get(c)
             if p is None:
                 pivots[c] = _primitive(r, c)
@@ -222,9 +231,13 @@ def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
                 for j in r:
                     r[j] *= a
             for j, x in p.items():
-                y = r.get(j, 0) - b * x
-                if y:
-                    r[j] = y
+                if j in r:
+                    y = r[j] - b * x
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]
                 else:
-                    del r[j]
+                    r[j] = -b * x
+                    heappush(heap, j)
     return len(pivots)

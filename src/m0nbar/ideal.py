@@ -44,7 +44,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
 from math import comb, gcd
 from operator import add, le, lshift, mul, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arith import Rational, _int_form, _primitive, matrix_rank
 from .poly import (
@@ -715,33 +715,36 @@ def _count_in(M: MonomialIdeal, D: tuple) -> int:
 
 
 def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
-                   D: tuple, skip_unit: bool) -> list:
-    """Rows {column: int} of the products monomial * p (monomial != 1 if
-    skip_unit) in multidegree D, p's coefficients with denominators
-    cleared.  Column i is the i-th monomial of degree D in ascending
-    order, so matrix_rank pivots on lex-smallest monomials: on the n = 8
-    matrices that has 35-45% less fill-in than pivoting on lex-largest.
-    Monomials are packed into ints (_degree_packing), so a product is one
-    add and its column one dict lookup."""
-    pack, _ = _degree_packing(ring, D)
-    cols = {pack(m): i
-            for i, m in enumerate(sorted(monomials_of_multidegree(ring, D)))}
+                   degrees: Sequence[tuple], skip_unit: bool) -> Iterator:
+    """For each multidegree D of degrees in turn, yield the rows
+    {column: int} of the products monomial * p (monomial != 1 if
+    skip_unit) in D, p's coefficients with denominators cleared.  Column
+    i is the i-th monomial of degree D in ascending order, so matrix_rank
+    pivots on lex-smallest monomials: on the n = 8 matrices that has
+    35-45% less fill-in than pivoting on lex-largest.  Monomials are
+    packed into ints (_degree_packing) wide enough for every D, so a
+    product is one add and its column one dict lookup, and each p is
+    packed once for all of degrees."""
+    pack, _ = _degree_packing(ring, max(degrees, key=max, default=()))
+    compiled = [(p.multidegree(),
+                 [(pack(m), c) for m, c in _int_form(p.terms)[0].items()])
+                for p in polys if p.terms]
     multipliers: dict = {}
-    rows = []
-    for p in polys:
-        if not p.terms:
-            continue
-        rem = tuple(map(sub, D, p.multidegree()))
-        if any(d < 0 for d in rem) or (skip_unit and not any(rem)):
-            continue
-        ms = multipliers.get(rem)
-        if ms is None:
-            ms = [pack(m) for m in monomials_of_multidegree(ring, rem)]
-            multipliers[rem] = ms
-        terms = [(pack(m), c) for m, c in _int_form(p.terms)[0].items()]
-        for m in ms:
-            rows.append({cols[t + m]: c for t, c in terms})
-    return rows
+    for D in degrees:
+        cols = {pack(m): i for i, m in
+                enumerate(sorted(monomials_of_multidegree(ring, D)))}
+        rows = []
+        for deg, terms in compiled:
+            rem = tuple(map(sub, D, deg))
+            if any(d < 0 for d in rem) or (skip_unit and not any(rem)):
+                continue
+            ms = multipliers.get(rem)
+            if ms is None:
+                ms = [pack(m) for m in monomials_of_multidegree(ring, rem)]
+                multipliers[rem] = ms
+            for m in ms:
+                rows.append({cols[t + m]: c for t, c in terms})
+        yield rows
 
 
 def graded_piece_dim(I: Ideal, degree: Sequence[int],
@@ -761,24 +764,27 @@ def graded_piece_dim(I: Ideal, degree: Sequence[int],
         return _count_in(initial_ideal(I), degree)
     if method != "rank":
         raise ValueError(f"unknown method {method!r}")
-    return matrix_rank(_macaulay_rows(I.gens, I.ring, degree, skip_unit=False))
+    rows, = _macaulay_rows(I.gens, I.ring, [degree], skip_unit=False)
+    return matrix_rank(rows)
 
 
 def min_gens_by_total_degree(I: Ideal) -> dict:
     """Number of minimal generators of I, grouped by total degree.
 
-    Graded Nakayama: in each multidegree D the minimal generator count
-    is dim I_D minus the dimension of the span of all products
-    (monomial != 1) * (basis element) landing in D.  Only multidegrees
-    of Groebner basis elements can contribute.
+    Graded Nakayama: the minimal generators of multidegree D number
+    dim (I/mI)_D, with m the ideal of the variables, and the images of
+    the given generators span I/mI, so (I/mI)_D is 0 unless a generator
+    has multidegree D.  Only those multidegrees are counted, each as
+    dim I_D, from the initial ideal, minus the dimension of (mI)_D, the
+    span of all products (monomial != 1) * (generator) landing in D.
+    Raises ValueError if a generator is not multihomogeneous.
     """
-    gb = I.groebner_basis()
-    degrees = sorted({g.multidegree() for g in gb})
+    degrees = sorted({p.multidegree() for p in I.gens if p.terms})
     M = initial_ideal(I)
     out: dict = {}
-    for D in degrees:
-        count = _count_in(M, D) - matrix_rank(
-            _macaulay_rows(gb, I.ring, D, skip_unit=True))
+    for D, rows in zip(degrees,
+                       _macaulay_rows(I.gens, I.ring, degrees, skip_unit=True)):
+        count = _count_in(M, D) - matrix_rank(rows)
         if count:
             td = sum(D)
             out[td] = out.get(td, 0) + count

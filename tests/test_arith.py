@@ -220,6 +220,26 @@ def test_rank_same_for_dense_and_sparse_rows(rows):
     assert (rows, sparse) == copies
 
 
+def test_rank_finds_fill_in_before_stale_columns():
+    # row 2 minus row 0 cancels column 3, whose heap entry goes stale, and
+    # fills in columns 1 and 4 between the row's columns 0, 3 and 6; the
+    # leading column is then the fill-in 1, not 3 or 6.  Adding row 1
+    # fills column 3 back in, next to its stale entry, and the row becomes
+    # the pivot of column 3.  Row 3 is row 0 + row 2.  Row 6 minus row 5
+    # cancels column 3 for good: its stale entry, which has a pivot, pops
+    # before the fill-in 5, which has none.  Row 7 is row 5 + row 6.
+    rows = [{0: 1, 1: 1, 3: 1, 4: 2},
+            {1: 1, 3: 1, 6: 1},
+            {0: 1, 3: 1, 6: 1},
+            {0: 2, 1: 1, 3: 2, 4: 2, 6: 1},
+            {4: 1, 6: 1},
+            {2: 1, 3: 1, 5: 1},
+            {2: 1, 3: 1, 7: 1},
+            {2: 2, 3: 2, 5: 1, 7: 1}]
+    for k, want in ((3, 3), (4, 3), (5, 4), (7, 6), (8, 6)):
+        assert matrix_rank(rows[:k]) == fraction_rank(dense(8, rows[:k])) == want
+
+
 def test_int_form_clears_denominators():
     values = {0: rat(1, 2), 1: rat(-1, 3), 2: rat(0), 3: 4}
     assert _int_form(values) == ({0: 3, 1: -2, 3: 24}, 6)

@@ -8,12 +8,15 @@ intersection of monomial ideals.
 
 import random
 import sys
+from operator import sub
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from test_moduli import cubic_route
+from test_moduli import cubic_quartic_ideal, cubic_route
 
-from m0nbar.arith import rat
+from m0nbar.arith import matrix_rank, rat
 from m0nbar.ideal import (
     Ideal,
     MonomialIdeal,
@@ -31,7 +34,7 @@ from m0nbar.ideal import (
     saturate_by_variable,
     spolynomial,
 )
-from m0nbar.ideal import _Overflow, _Packer
+from m0nbar.ideal import _Overflow, _Packer, _count_in, _macaulay_rows
 from m0nbar.moduli import saturation_pipeline
 from m0nbar.poly import (
     MonomialOrder,
@@ -40,6 +43,7 @@ from m0nbar.poly import (
     grevlex_order,
     lex_order,
     moduli_ring,
+    monomials_of_multidegree,
     parse_polynomial,
     polynomial_ring,
 )
@@ -640,3 +644,73 @@ def test_min_gens_by_total_degree():
     # a complete intersection keeps both generators
     J = Ideal(XYZ, [P(XYZ, "x^2 - y*z"), P(XYZ, "y^3")])
     assert min_gens_by_total_degree(J) == {2: 1, 3: 1}
+    # <x, x + y^2> = <x, y^2> has a multihomogeneous reduced basis, but
+    # its given generators name no multidegree to count in
+    inhom = Ideal(XY, [P(XY, "x"), P(XY, "x + y^2")])
+    with pytest.raises(ValueError, match="not multihomogeneous"):
+        min_gens_by_total_degree(inhom)
+
+
+# -- minimal generators against the loop over basis multidegrees ----------
+
+
+def min_gens_over_basis_degrees(I):
+    """The oracle for min_gens_by_total_degree: the same count, dim I_D
+    minus the span of (monomial != 1) * (basis element), in every
+    multidegree D of the reduced grevlex basis, which holds the
+    multidegrees of all minimal generators and usually many more."""
+    gb = I.groebner_basis()
+    M = initial_ideal(I)
+    out = {}
+    for D in sorted({g.multidegree() for g in gb}):
+        rows, = _macaulay_rows(gb, I.ring, [D], skip_unit=True)
+        count = _count_in(M, D) - matrix_rank(rows)
+        if count:
+            out[sum(D)] = out.get(sum(D), 0) + count
+    return out
+
+
+X2Y2 = polynomial_ring(["x0", "x1", "y0", "y1"], block_sizes=(2, 2))
+
+
+@st.composite
+def redundant_bihomogeneous_ideals(draw):
+    """Random forms on P^1 x P^1 of multidegree at most (2, 2), plus
+    redundant generators: a form plus a multiple of another, and
+    monomial multiples of forms; all in a drawn order."""
+    coeff = st.integers(min_value=-3, max_value=3).filter(bool)
+
+    def monomial(D):
+        t = draw(st.sampled_from(monomials_of_multidegree(X2Y2, D)))
+        return Polynomial.from_terms(X2Y2, [(t, 1)])
+
+    def form(D):
+        monos = draw(st.lists(st.sampled_from(monomials_of_multidegree(X2Y2, D)),
+                              min_size=1, max_size=3, unique=True))
+        return Polynomial.from_terms(X2Y2, [(m, draw(coeff)) for m in monos])
+
+    degree = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(any)
+    forms = [form(D) for D in draw(st.lists(degree, min_size=1, max_size=4))]
+    gens = list(forms)
+    index = st.integers(0, len(forms) - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, coeff), max_size=3)):
+        rem = tuple(map(sub, forms[i].multidegree(), forms[j].multidegree()))
+        if min(rem) >= 0:
+            total = forms[i] + c * monomial(rem) * forms[j]
+            if total.terms:
+                gens.append(total)
+    for j, D in draw(st.lists(st.tuples(index, degree), max_size=2)):
+        gens.append(monomial(D) * forms[j])
+    return Ideal(X2Y2, draw(st.permutations(gens)))
+
+
+@given(redundant_bihomogeneous_ideals())
+@settings(max_examples=60, deadline=None)
+def test_min_gens_matches_the_basis_degree_loop(I):
+    assert min_gens_by_total_degree(I) == min_gens_over_basis_degrees(I)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_min_gens_matches_the_basis_degree_loop_on_the_paper_ideals(n):
+    for I in (cubic_quartic_ideal(n), saturation_pipeline(n)):
+        assert min_gens_by_total_degree(I) == min_gens_over_basis_degrees(I)

@@ -382,7 +382,8 @@ def test_saturation_pipeline_matches_the_cubic_route(n):
 
 
 def test_invariants_n7_real_size():
-    # Macaulay matrices up to 517 x 900: the sparse rank kernel at size
+    # Macaulay matrices up to 264 x 720, in (1, 2, 1, 2); the minimal
+    # generator counts, in the generators' multidegrees, need at most 30 x 180
     I = cubic_quartic_ideal(7)
     assert min_gens_by_total_degree(I) == {3: 15, 4: 6}
     assert hilbert_degree(I) == (6, 105)
@@ -390,12 +391,13 @@ def test_invariants_n7_real_size():
         assert graded_piece_dim(I, D, "rank") == graded_piece_dim(I, D, "standard")
 
 
-@pytest.mark.skipif(os.environ.get("M0NBAR_SLOW") != "1",
-                    reason="n = 8 invariants take minutes; set M0NBAR_SLOW=1")
 def test_invariants_n8_match_predictions():
     I = cubic_quartic_ideal(8)
     assert min_gens_by_total_degree(I) == {3: comb(7, 4), 4: comb(7, 5)}
     assert hilbert_degree(I) == (10, stable_tree_count(8))
+    # six of the 21 quartics, the most of any multidegree: 76 x 420 rows
+    D = (0, 0, 1, 1, 2)
+    assert graded_piece_dim(I, D, "rank") == graded_piece_dim(I, D, "standard")
 
 
 # sha256 of the full stdout of saturate 8 (lex basis and invariants)
