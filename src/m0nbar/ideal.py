@@ -19,9 +19,13 @@ and unpacked on output.
 
 The S-pair queue is a heap ordered by (lcm total degree, packed lcm,
 i, j), the normal selection strategy, and the Gebauer-Moller update
-implements Buchberger's coprimality and chain criteria.  Public Groebner
-bases are reduced, monic, and sorted by ascending leading monomial, so
-equal ideals yield identical bases.
+implements Buchberger's coprimality and chain criteria.  When the input
+is n homogeneous forms in n variables, a degree's remaining pairs are
+dropped unreduced once the standard monomials of the leads in that
+degree reach e_d, the Hilbert function of a complete intersection of the
+forms' degrees, which no such ideal undercuts; progress counts only the
+reduced pairs.  Public Groebner bases are reduced, monic, and sorted by
+ascending leading monomial, so equal ideals yield identical bases.
 
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
 with v as the smallest variable, whose basis elements divided by their
@@ -288,10 +292,25 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     form: two generating sets of the same ideal give the same list.
     Monomials are packed once, with their order digits over their
     exponents, in fields sized from the largest total degree of gens.
-    progress(S-pairs processed, pairs queued, basis size) is called every
-    100 S-pairs while pairs remain queued and once at the end with 0
-    queued; a run that restarts with wider fields reports again from the
-    start.
+
+    When the nonzero gens are exactly nvars forms, form i homogeneous of
+    total degree d_i >= 1, the run drops the S-pairs of lcm degree d that
+    remain once the standard monomials S_d of its leads in degree d number
+    e_d, the T^d coefficient of prod (1 + T + ... + T^(d_i - 1)).  This is
+    exact: each Macaulay rank of the forms is at most its value on the
+    open set of regular sequences (x_i^d_i is one), so dim (R/I)_d >= e_d,
+    and <lm G> in in(I) gives |S_d| >= dim (R/I)_d.  Pairs come in order
+    of lcm total degree and new pairs lie in higher degrees; a degree-d
+    nonzero remainder has its lead in S_d and lowers |S_d| by exactly one.
+    At |S_d| = e_d the leads span in(I)_d, so every remaining degree-d
+    S-polynomial, which lies in I_d, reduces to 0.  A finished degree with
+    |S_d| > e_d shows that the forms are no regular sequence, and the run
+    reduces every later pair.
+
+    progress(S-pairs reduced, pairs queued, basis size) is called every
+    100 reduced S-pairs while pairs remain queued and once at the end
+    with 0 queued; a dropped pair is neither reduced nor queued.  A run
+    that restarts with wider fields reports again from the start.
     """
     polys = [p for p in gens if p.terms]
     if not polys:
@@ -308,9 +327,26 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
             width *= 2
 
 
+def _complete_intersection_series(polys: Sequence[Polynomial]) -> list | None:
+    """Coefficients e_d of prod (1 + T + ... + T^(d_i - 1)) when polys are
+    exactly nvars forms, form i homogeneous of total degree d_i >= 1, and
+    None otherwise; e_d = 0 past the end of the list."""
+    if len(polys) != polys[0].ring.nvars:
+        return None
+    series = [1]
+    for p in polys:
+        degrees = {sum(m) for m in p.terms}
+        if len(degrees) != 1 or 0 in degrees:
+            return None
+        d, = degrees
+        series = [sum(series[max(0, k - d + 1):k + 1])
+                  for k in range(len(series) + d - 1)]
+    return series
+
+
 def _buchberger(polys: list, packer: _Packer,
                 progress: Progress | None) -> list:
-    guard = packer.guard
+    guard, low = packer.guard, packer.low
     G: list = []
     P: list = []
     first: dict = {}
@@ -319,13 +355,33 @@ def _buchberger(polys: list, packer: _Packer,
         if r:
             _update(G, P, packer.gen(_primitive(r, max(r))), packer)
 
+    target = _complete_intersection_series(polys)
+    units = [1 << s for s in packer.shifts]
+    S, at, e = {0}, 0, 1  # exponent fields of S_at, and e_at
     done = 0
     while P:
-        _, l, i, j = heappop(P)
+        d, l, i, j = heappop(P)
+        if target is not None and d != at:
+            if len(S) > e:
+                target = None  # no regular sequence: reduce every pair
+            else:
+                leads = [g.lm & low for g in G]
+                for at in range(at + 1, d + 1):
+                    S = {m for m in {s + u for s in S for u in units}
+                         if all((m - f) & guard for f in leads)}
+                e = target[d] if d < len(target) else 0
+                if len(S) < e:
+                    raise AssertionError("fewer standard monomials than a "
+                                         "complete intersection has")
+        if target is not None and len(S) == e:
+            continue
         r, _ = _reduce(_spoly(G[i], G[j], l, guard), G, guard, first)
         done += 1
         if r:
-            _update(G, P, packer.gen(_primitive(r, max(r))), packer)
+            h = packer.gen(_primitive(r, max(r)))
+            if target is not None:
+                S.remove(h.lm & low)
+            _update(G, P, h, packer)
         if progress is not None and done % 100 == 0 and P:
             progress(done, len(P), len(G))
     if progress is not None:
@@ -357,7 +413,8 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer,
 
 
 class Ideal:
-    """An ideal given by generators, with cached Groebner bases."""
+    """An ideal given by generators, with cached Groebner bases and
+    initial ideals, each keyed by its order."""
 
     def __init__(self, ring: RingSpec, gens: Iterable[Polynomial]) -> None:
         self.ring = ring
@@ -366,6 +423,7 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self._gb: dict = {}
+        self._initial: dict = {}
 
     def groebner_basis(self, order: MonomialOrder | None = None,
                        progress: Progress | None = None) -> tuple:
@@ -388,6 +446,7 @@ class Ideal:
     def with_cached_basis(self, order: MonomialOrder,
                           basis: Sequence[Polynomial]) -> "Ideal":
         self._gb[order] = tuple(basis)
+        self._initial.pop(order, None)
         return self
 
     def __repr__(self) -> str:
@@ -616,10 +675,14 @@ class MonomialIdeal:
 
 
 def initial_ideal(I: Ideal, order: MonomialOrder | None = None) -> MonomialIdeal:
-    """Ideal of leading monomials of a Groebner basis."""
+    """Ideal of leading monomials of a Groebner basis, cached on I."""
     order = order or grevlex_order(I.ring)
-    gb = I.groebner_basis(order)
-    return MonomialIdeal(I.ring, [g.leading_monomial(order) for g in gb])
+    M = I._initial.get(order)
+    if M is None:
+        gb = I.groebner_basis(order)
+        M = I._initial[order] = MonomialIdeal(
+            I.ring, [g.leading_monomial(order) for g in gb])
+    return M
 
 
 def _hilbert_numerator(gens: tuple) -> tuple:

@@ -2,7 +2,9 @@
 
 Two independent correctness oracles for the Groebner machinery, run on
 a seeded population of over 100 random ideals in at most 3 variables
-with at most 3 generators of degree at most 3:
+with at most 3 generators of degree at most 3 (and, for the dropped
+pairs of n forms in n variables, on square systems checked against the
+same generators plus one redundant product):
 
   * every S-polynomial of a computed basis reduces to zero against the
     basis (the textbook confluence certificate);
@@ -16,7 +18,7 @@ with at most 3 generators of degree at most 3:
 import random
 
 from m0nbar.arith import matrix_rank, rat
-from m0nbar.ideal import Ideal, contains, normal_form, spolynomial
+from m0nbar.ideal import Ideal, buchberger, contains, normal_form, spolynomial
 from m0nbar.poly import (
     MonomialOrder,
     Polynomial,
@@ -24,6 +26,7 @@ from m0nbar.poly import (
     grevlex_order,
     lex_order,
     monomials_of_multidegree,
+    parse_polynomial,
     polynomial_ring,
 )
 
@@ -166,3 +169,78 @@ def test_groebner_bases_are_reduced_and_monic():
                 # no term of g is divisible by another leading monomial
                 reduced = normal_form(g, others, order)
                 assert reduced == g
+
+
+# -- n forms in n variables: the complete-intersection target ------------
+
+
+def dense_form(rng, ring, d):
+    return Polynomial(ring, {m: rat(rng.choice([c for c in range(-9, 10) if c]))
+                             for m in monomials_of_multidegree(ring, (d,))})
+
+
+def square_system(rng, kind):
+    """nvars homogeneous forms in 2-4 variables: dense generic ones, or
+    a degenerate kind (a repeated form, a common factor, monomials, a
+    form in the ideal of the others)."""
+    nv = rng.randint(2, 4)
+    ring = polynomial_ring(list("xyzw")[:nv])
+    degrees = [rng.randint(1, 3 if nv < 4 else 2) for _ in range(nv)]
+    gens = [dense_form(rng, ring, d) for d in degrees]
+    if kind == "repeated":
+        gens[-1] = gens[0]
+    elif kind == "common factor":
+        x = ring.var_by_index(0)
+        gens = [x * dense_form(rng, ring, d) for d in degrees]
+    elif kind == "monomials":
+        gens = [Polynomial(ring, {rng.choice(monomials_of_multidegree(
+            ring, (d,))): rat(1)}) for d in degrees]
+    elif kind == "in the others":
+        d = max(degrees[:-1]) + 1
+        gens[-1] = sum((dense_form(rng, ring, d - g.total_degree()) * g
+                        for g in gens[:-1]), ring.zero())
+    return ring, gens
+
+
+def final_count(gens, order):
+    """S-pairs the run reduced, from its final progress call."""
+    calls = []
+    buchberger(gens, order, lambda *args: calls.append(args))
+    return calls[-1][0]
+
+
+def test_square_systems_match_one_more_generator():
+    # n + 1 generators never take the target, so they are the oracle for
+    # the reduced basis; the confluence certificate checks it on its own
+    rng = random.Random(2020)
+    square = plus = 0
+    for k in range(40):
+        kind = ("dense", "repeated", "common factor", "monomials",
+                "in the others")[k % 5]
+        ring, gens = square_system(rng, kind)
+        more = gens + [ring.var_by_index(0) * gens[0]]
+        I, J = Ideal(ring, gens), Ideal(ring, more)
+        nv = ring.nvars
+        for order in (grevlex_order(ring), lex_order(ring),
+                      MonomialOrder(ring, [[nv - 1], list(range(nv - 1))])):
+            assert I.groebner_basis(order) == J.groebner_basis(order)
+            assert spoly_certificate(I, order)
+            if kind == "dense":
+                square += final_count(gens, order)
+                plus += final_count(more, order)
+    assert square < plus
+
+
+def test_square_system_drops_pairs():
+    # one dense (2, 2, 3) system: S-pairs reduced with the target, and
+    # with one more generator, which switches it off: the target drops 6
+    # of the 10 pairs
+    ring = polynomial_ring(["x", "y", "z"])
+    gens = [parse_polynomial(ring, t) for t in (
+        "3*x^2 - 7*x*y + 2*x*z + 5*y^2 - y*z + 8*z^2",
+        "-4*x^2 + x*y + 9*x*z - 2*y^2 + 6*y*z - 3*z^2",
+        "x^3 - 5*x^2*y + 2*x^2*z + 7*x*y^2 - x*y*z + 4*x*z^2 - 6*y^3"
+        " + 3*y^2*z - 9*y*z^2 + 2*z^3")]
+    more = gens + [ring.var_by_index(0) * gens[0]]
+    for order in (grevlex_order(ring), lex_order(ring)):
+        assert final_count(gens, order) == 4 < final_count(more, order) == 10

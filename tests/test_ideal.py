@@ -234,6 +234,37 @@ def test_groebner_cache():
     assert I.groebner_basis(order) is not I.groebner_basis(grevlex_order(XY))
 
 
+def test_initial_ideal_cache():
+    I = Ideal(XY, [P(XY, "x*y - 1"), P(XY, "y^2 - 1")])
+    order = lex_order(XY)
+    M = initial_ideal(I, order)
+    assert initial_ideal(I, order) is M
+    assert initial_ideal(I) is not M
+    # a basis cached anew drops that order's initial ideal, which is
+    # rebuilt from it
+    I.with_cached_basis(order, I.groebner_basis(order))
+    assert initial_ideal(I, order) is not M
+    assert initial_ideal(I, order) == M == MonomialIdeal(XY, [(1, 0), (0, 2)])
+
+
+def test_invariants_build_the_initial_ideal_once(monkeypatch):
+    import m0nbar.ideal as ideal_module
+    built = []
+
+    class Counted(MonomialIdeal):
+        def __init__(self, ring, monos):
+            built.append(ring)
+            super().__init__(ring, monos)
+
+    monkeypatch.setattr(ideal_module, "MonomialIdeal", Counted)
+    I = cubic_quartic_ideal(6)
+    min_gens_by_total_degree(I)
+    hilbert_degree(I)
+    for D in ((1, 1, 2), (1, 2, 1)):
+        graded_piece_dim(I, D, method="standard")
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("gens", [[], ["x*y - 1"]])
 def test_groebner_basis_rejects_an_order_from_another_ring(gens):
     I = Ideal(XY, [P(XY, g) for g in gens])
@@ -554,6 +585,24 @@ def test_saturation_pipeline_settles_every_block_unsheared(monkeypatch,
     calls = []
     saturation_pipeline(n, lambda *args: calls.append(args))
     assert sum(queued == 0 for _, queued, _ in calls) == runs
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_saturation_pipeline_never_takes_the_square_target(monkeypatch, n):
+    # every run of the pipeline has more generators than variables, so
+    # none drops a pair and the n = 6 progress and batch pins above and
+    # the saturate 7 progress pin hold as they were
+    import m0nbar.ideal as ideal_module
+    series = ideal_module._complete_intersection_series
+
+    def no_target(polys):
+        if series(polys) is not None:
+            raise AssertionError("a pipeline run took the square target")
+        return None
+
+    monkeypatch.setattr(ideal_module, "_complete_intersection_series",
+                        no_target)
+    saturation_pipeline(n)
 
 
 # -- monomial ideals and invariants ----------------------------------------
