@@ -58,49 +58,36 @@ class Rational:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: RationalLike) -> "Rational":
-        if isinstance(other, int):
-            return Rational(self.num + other * self.den, self.den)
-        if not isinstance(other, Rational):
+        o = _rational(other)
+        if o is NotImplemented:
             return NotImplemented
-        if self.den == 1 and other.den == 1:
-            return Rational(self.num + other.num)
-        return Rational(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
+        return Rational(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __sub__(self, other: RationalLike) -> "Rational":
-        if isinstance(other, (int, Rational)):
-            return self + -other
-        return NotImplemented
+        o = _rational(other)
+        return NotImplemented if o is NotImplemented else self + -o
 
     def __rsub__(self, other: RationalLike) -> "Rational":
-        if isinstance(other, int):
-            return -self + other
-        return NotImplemented
+        o = _rational(other)
+        return NotImplemented if o is NotImplemented else o + -self
 
     def __mul__(self, other: RationalLike) -> "Rational":
-        if isinstance(other, int):
-            return Rational(self.num * other, self.den)
-        if not isinstance(other, Rational):
+        o = _rational(other)
+        if o is NotImplemented:
             return NotImplemented
-        if self.den == 1 and other.den == 1:
-            return Rational(self.num * other.num)
-        return Rational(self.num * other.num, self.den * other.den)
+        return Rational(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "Rational":
-        if isinstance(other, int):
-            other = Rational(other)
-        if isinstance(other, Rational):
-            return self * other.inverse()
-        return NotImplemented
+        o = _rational(other)
+        return NotImplemented if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other: RationalLike) -> "Rational":
-        if isinstance(other, int):
-            return self.inverse() * other
-        return NotImplemented
+        o = _rational(other)
+        return NotImplemented if o is NotImplemented else o * self.inverse()
 
     def __neg__(self) -> "Rational":
         r = object.__new__(Rational)
@@ -121,11 +108,10 @@ class Rational:
     # -- comparison ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Rational):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, int):
-            return self.den == 1 and self.num == other
-        return NotImplemented
+        o = _rational(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
         if self.den == 1:
@@ -135,11 +121,10 @@ class Rational:
     # denominators are positive, so cross multiplication keeps order;
     # total_ordering derives <=, > and >= from this and __eq__
     def __lt__(self, other: RationalLike) -> bool:
-        if isinstance(other, int):
-            return self.num < other * self.den
-        if not isinstance(other, Rational):
+        o = _rational(other)
+        if o is NotImplemented:
             return NotImplemented
-        return self.num * other.den < other.num * self.den
+        return self.num * o.den < o.num * self.den
 
     def __bool__(self) -> bool:
         return self.num != 0
@@ -153,6 +138,16 @@ class Rational:
 
     def __repr__(self) -> str:
         return f"Rational({self.num}, {self.den})"
+
+
+def _rational(x: object) -> Rational:
+    """The other operand of every Rational operator as a Rational: a
+    Rational as is, an int (bools too) as Rational(x), else NotImplemented."""
+    if isinstance(x, Rational):
+        return x
+    if isinstance(x, int):
+        return Rational(x)
+    return NotImplemented
 
 
 def rat(num: int, den: int = 1) -> Rational:

@@ -57,6 +57,7 @@ from .poly import (
     Polynomial,
     RingSpec,
     elimination_order,
+    format_polynomial,
     grevlex_order,
     monomials_of_multidegree,
 )
@@ -289,7 +290,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     """Reduced monic Groebner basis of the ideal generated by gens.
 
     Output is sorted by ascending leading monomial, so it is a canonical
-    form: two generating sets of the same ideal give the same list.
+    form: two generating sets of the same ideal give the same list, and
+    the zero ideal (no nonzero generator) gives [].
     Monomials are packed once, with their order digits over their
     exponents, in fields sized from the largest total degree of gens.
 
@@ -313,12 +315,10 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     that restarts with wider fields reports again from the start.
     """
     polys = [p for p in gens if p.terms]
+    if any(p.ring != order.ring for p in polys):
+        raise ValueError("generators and order must share one ring")
     if not polys:
-        raise ValueError("need at least one nonzero generator")
-    ring = polys[0].ring
-    for p in polys:
-        if p.ring != ring or order.ring != ring:
-            raise ValueError("generators and order must share one ring")
+        return []
     width = _width(polys)
     while True:
         try:
@@ -433,13 +433,11 @@ class Ideal:
             raise ValueError("order from a different ring")
         cached = self._gb.get(order)
         if cached is None:
-            cached = ()  # the basis of the zero ideal
-            if any(g.terms for g in self.gens):
-                cached = tuple(buchberger(self.gens, order, progress))
-                # sanity: every original generator must reduce to zero
-                if any(r.terms for r in _remainders(self.gens, cached, order)):
-                    raise AssertionError("generator does not reduce to zero "
-                                         "against its own Groebner basis")
+            cached = tuple(buchberger(self.gens, order, progress))
+            # sanity: every original generator must reduce to zero
+            if any(r.terms for r in _remainders(self.gens, cached, order)):
+                raise AssertionError("generator does not reduce to zero "
+                                     "against its own Groebner basis")
             self._gb[order] = cached
         return cached
 
@@ -554,8 +552,6 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     ring = I.ring
     if J.ring != ring:
         raise ValueError("ideals live in different rings")
-    if not (any(g.terms for g in I.gens) and any(g.terms for g in J.gens)):
-        return Ideal(ring, [])  # I & 0 = 0
     name = "_t"
     while name in ring.names:
         name += "_"
@@ -667,11 +663,9 @@ class MonomialIdeal:
         return self.ring == other.ring and self.gens == other.gens
 
     def __repr__(self) -> str:
-        names = self.ring.names
-        def fmt(m):
-            return "*".join(f"{n}^{e}" if e > 1 else n
-                            for n, e in zip(names, m) if e) or "1"
-        return "MonomialIdeal(" + ", ".join(fmt(m) for m in self.gens) + ")"
+        return "MonomialIdeal(" + ", ".join(
+            format_polynomial(Polynomial(self.ring, {m: Rational(1)}))
+            for m in self.gens) + ")"
 
 
 def initial_ideal(I: Ideal, order: MonomialOrder | None = None) -> MonomialIdeal:

@@ -167,10 +167,12 @@ class MonomialOrder:
 
 
 def lex_order(ring: RingSpec) -> MonomialOrder:
+    """Lex in ring order (a0 > a1 > b0 > ...): exponent tuple order."""
     return MonomialOrder(ring, [[i] for i in range(ring.nvars)])
 
 
 def grevlex_order(ring: RingSpec) -> MonomialOrder:
+    """Grevlex in ring order: all variables in one block."""
     return MonomialOrder(ring)
 
 
@@ -237,15 +239,9 @@ class Polynomial:
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Rational)):
-            c = other if isinstance(other, Rational) else Rational(other)
-            if c.num == 0:
-                return self.ring.zero()
-            return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        if other.ring != self.ring:
-            raise ValueError("polynomials from different rings")
         return Polynomial.from_terms(
             self.ring, ((tuple(map(add, m1, m2)), c1 * c2)
                         for m1, c1 in self.terms.items()
@@ -325,12 +321,8 @@ class Polynomial:
 
 
 def _compositions(total: int, parts: int) -> Iterator:
-    """All tuples of `parts` nonnegative ints summing to `total`,
+    """All tuples of `parts` >= 1 nonnegative ints summing to `total`,
     lexicographically descending."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
     if parts == 1 and total >= 0:
         yield (total,)
         return

@@ -33,6 +33,27 @@ def test_int_interop_and_hash():
     assert {Rational(2): "x"}[2] == "x"
 
 
+def test_mixed_type_operands():
+    # bools are ints; floats and strings are no Rationals on either side
+    assert True + Rational(1, 2) == Rational(3, 2)
+    assert Rational(1, 2) * False == 0
+    assert 1 - Rational(1, 2) == Rational(1, 2)
+    assert Rational(3, 4) - 1 == Rational(-1, 4)
+    assert Rational(3, 4) / 3 == Rational(1, 4)
+    assert 2 / Rational(4) == Rational(1, 2)
+    assert Rational(2) == 2 and Rational(1, 2) != 1
+    assert (Rational(1) == 1.0) is False
+    assert Rational(1, 2) != "1/2"
+    with pytest.raises(TypeError):
+        0.5 - Rational(1)
+    with pytest.raises(TypeError):
+        Rational(1) + 0.5
+    with pytest.raises(TypeError):
+        "1" * Rational(2)
+    with pytest.raises(TypeError):
+        Rational(1) / 0.5
+
+
 def test_str_and_parse():
     assert str(Rational(3, 4)) == "3/4"
     assert str(Rational(-3, 4)) == "-3/4"

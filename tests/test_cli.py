@@ -122,16 +122,33 @@ def test_saturate_n6_grevlex(capsys):
     assert sha256(out) == SATURATE_6_GREVLEX_SHA256
 
 
-def test_saturate_stdout_independent_of_hash_seed():
+def stdout_under_hash_seed(seed, *argv):
+    """Standard output of a fresh `m0nbar` process with PYTHONHASHSEED
+    set to seed."""
     root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=seed)
+    done = subprocess.run([sys.executable, "-m", "m0nbar.cli", *argv],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_saturate_stdout_independent_of_hash_seed():
     for seed in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=seed)
-        done = subprocess.run(
-            [sys.executable, "-m", "m0nbar.cli", "saturate", "6",
-             "--order", "grevlex"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert sha256(done.stdout) == SATURATE_6_GREVLEX_SHA256
+        out = stdout_under_hash_seed(seed, "saturate", "6",
+                                     "--order", "grevlex")
+        assert sha256(out) == SATURATE_6_GREVLEX_SHA256
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "6", "--trials", "20", "--seed", "1"),
+    ("boundary", "6"),
+])
+def test_stdout_independent_of_hash_seed(argv):
+    first, second = (stdout_under_hash_seed(s, *argv) for s in ("1", "2"))
+    assert first
+    assert first == second
 
 
 def test_verify_n5_passes(capsys):

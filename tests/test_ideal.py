@@ -91,9 +91,16 @@ def test_buchberger_is_canonical():
     assert a == b
 
 
-def test_buchberger_rejects_zero_input():
-    with pytest.raises(ValueError):
-        buchberger([XY.zero()], lex_order(XY))
+def test_buchberger_of_zero_ideal_is_empty():
+    for order in (lex_order(XY), grevlex_order(XY)):
+        assert buchberger([], order) == []
+        assert buchberger([XY.zero()], order) == []
+        assert buchberger([XY.zero(), XY.zero()], order) == []
+    # a nonzero generator must share the order's ring, zeros or not
+    with pytest.raises(ValueError, match="share one ring"):
+        buchberger([XY.zero(), P(XYZ, "x")], lex_order(XY))
+    with pytest.raises(ValueError, match="share one ring"):
+        buchberger([P(XY, "x"), P(XYZ, "x")], lex_order(XY))
 
 
 def test_spolynomials_reduce_to_zero():
@@ -341,6 +348,22 @@ def test_intersection():
     Z = Ideal(XYZ, [])
     for A, B in ((I, Z), (Z, I), (Z, Z), (Ideal(XYZ, [XYZ.zero()]), Z)):
         assert intersect(A, B).groebner_basis() == ()
+
+
+def test_intersection_validates_rings_and_avoids_taken_names():
+    with pytest.raises(ValueError, match="different rings"):
+        intersect(Ideal(XY, [P(XY, "x")]), Ideal(XYZ, [P(XYZ, "x")]))
+    # the adjoined variable is renamed past every name the ring has
+    R = polynomial_ring(["x", "_t", "_t_"])
+    K = intersect(Ideal(R, [P(R, "x")]), Ideal(R, [P(R, "_t")]))
+    assert [str(g) for g in K.groebner_basis()] == ["x*_t"]
+    K = intersect(Ideal(R, [P(R, "_t_")]), Ideal(R, [P(R, "x"), P(R, "_t")]))
+    assert [str(g) for g in K.groebner_basis()] == ["_t*_t_", "x*_t_"]
+
+
+def test_ideal_rejects_a_generator_from_another_ring():
+    with pytest.raises(ValueError, match="different ring"):
+        Ideal(XY, [P(XY, "x"), P(XYZ, "x")])
 
 
 def test_saturate_by_block():
@@ -608,6 +631,16 @@ def test_saturation_pipeline_never_takes_the_square_target(monkeypatch, n):
 # -- monomial ideals and invariants ----------------------------------------
 
 
+def test_monomial_ideal_repr():
+    assert (repr(MonomialIdeal(XYZ, [(2, 0, 1), (1, 1, 0)]))
+            == "MonomialIdeal(x*y, x^2*z)")
+    unit = MonomialIdeal(XYZ, [(0, 0, 0), (1, 0, 0)])
+    assert repr(unit) == "MonomialIdeal(1)"
+    assert repr(MonomialIdeal(XYZ, [])) == "MonomialIdeal()"
+    assert (repr(MonomialIdeal(R5, [(1, 0, 0, 2, 1)]))
+            == "MonomialIdeal(a0*b1^2*b2)")
+
+
 def test_monomial_ideal_minimal_gens():
     x2 = (2, 0, 0)
     xy = (1, 1, 0)
@@ -668,6 +701,8 @@ def test_graded_piece_dim_both_methods():
     for method in ("standard", "rank"):
         with pytest.raises(ValueError, match="not multihomogeneous"):
             graded_piece_dim(inhom, (2,), method)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        graded_piece_dim(I, (2,), method="bogus")
 
 
 def test_graded_invariants_in_degree_zero():

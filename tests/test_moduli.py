@@ -47,7 +47,12 @@ from m0nbar.moduli import (
     stable_tree_count,
     vanishing_test,
 )
-from m0nbar.moduli import _compile, _evaluate_compiled, _scaled_coordinates
+from m0nbar.moduli import (
+    _block_var,
+    _compile,
+    _evaluate_compiled,
+    _scaled_coordinates,
+)
 from m0nbar.poly import (
     Polynomial,
     lex_order,
@@ -117,6 +122,15 @@ def test_minor_matrix_count():
         moduli_ring(4)
     with pytest.raises(ValueError):
         minor_matrices(4)
+
+
+def test_block_var_stays_inside_its_block():
+    ring = moduli_ring(6)
+    block_b = [str(_block_var(ring, 2, j)) for j in range(3)]
+    assert block_b == ["b0", "b1", "b2"]
+    for block, j in ((1, 2), (2, 3), (3, 4), (2, -1)):
+        with pytest.raises(IndexError, match=f"block {block} has no coord"):
+            _block_var(ring, block, j)
 
 
 def test_cubics_match_reference_lists():
@@ -336,6 +350,12 @@ def test_quartic_witness_all_n7():
     J = minor_ideal(7)
     for tup in quartic_tuples(7):
         quartic_membership_witness(J, tup)
+
+
+def test_quartic_witness_fails_outside_the_cubic_ideal():
+    (tup,) = quartic_tuples(6)
+    with pytest.raises(AssertionError, match="does not reduce to zero"):
+        quartic_membership_witness(Ideal(moduli_ring(6), []), tup)
 
 
 def test_quartic_not_in_cubic_ideal_n6():

@@ -9,3 +9,13 @@ def test_all_names_resolve_sorted_and_unique():
     assert missing == []
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+def test_all_names_have_their_own_docstrings():
+    # a dataclass without a docstring gets its signature "Name(...)"
+    bare = []
+    for name in m0nbar.__all__:
+        doc = getattr(m0nbar, name).__doc__
+        if not doc or doc.startswith(name + "("):
+            bare.append(name)
+    assert bare == []

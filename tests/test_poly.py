@@ -302,8 +302,23 @@ def test_cross_ring_arithmetic_rejected():
         p + q
     with pytest.raises(ValueError):
         p - q
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different rings"):
         p * q
+    with pytest.raises(TypeError):
+        p * "a0"
+    with pytest.raises(TypeError):
+        p * 0.5
+
+
+def test_scalar_products():
+    p = P(XYZ, "x^2 - 1/3*y*z + 2")
+    assert 0 * p == XYZ.zero() and (0 * p).is_zero()
+    assert (p * 0).is_zero() and (p * rat(0)).is_zero()
+    assert 3 * p == P(XYZ, "3*x^2 - y*z + 6")
+    assert p * 3 == 3 * p
+    assert p * rat(-2, 7) == P(XYZ, "-2/7*x^2 + 2/21*y*z - 4/7")
+    assert rat(-2, 7) * p == p * rat(-2, 7)
+    assert p * 1 == p and 1 * p == p
 
 
 @given(small_polys(), small_polys(),
