@@ -43,8 +43,9 @@ class Rational:
         if g > 1:
             num //= g
             den //= g
-        self.num = num
-        self.den = den
+        # unary plus keeps an int and turns a bool into a plain int
+        self.num = +num
+        self.den = +den
 
     @classmethod
     def from_string(cls, text: str) -> "Rational":

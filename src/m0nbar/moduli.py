@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb, lcm
+from operator import add, floordiv, mul, sub
 from typing import Iterable, Sequence
 
 from .arith import Rational, _int_form, _primitive
@@ -230,16 +231,23 @@ def embedding_coordinates(config: PointConfig) -> list:
             for num, den in block]
 
 
-def _scaled_coordinates(points: Sequence[int]) -> tuple:
-    """(coords, scales) for distinct integer points: block i's cross
-    ratios times L_i, the lcm of the block's denominators, as ints
-    flattened in ring variable order, and the list of the L_i."""
-    coords, scales = [], []
-    for block in _cross_ratios(points):
-        scale = lcm(*(den for _, den in block))
+def _coordinate_columns(batch: Sequence[Sequence[int]]) -> tuple:
+    """(products, scales) for a batch of distinct integer point tuples.
+    products maps (v,) to variable v's column over the batch: its cross
+    ratio times L_i, the lcm of block i's denominators, as ints; and ()
+    to the column of ones.  scales holds each block's column of L_i."""
+    p = list(zip(*batch))
+    nums = [list(map(sub, p[0], q)) for q in p[1:-1]]
+    columns, scales = [], []
+    for i in range(1, len(p) - 2):
+        dens = [list(map(sub, p[i + 2], q)) for q in p[1:i + 2]]
+        scale = list(map(lcm, *dens))
         scales.append(scale)
-        coords.extend(num * (scale // den) for num, den in block)
-    return coords, scales
+        columns.extend(list(map(mul, num, map(floordiv, scale, den)))
+                       for num, den in zip(nums, dens))
+    products = {(v,): col for v, col in enumerate(columns)}
+    products[()] = [1] * len(batch)
+    return products, scales
 
 
 def _compile(eq: Polynomial) -> tuple:
@@ -253,19 +261,34 @@ def _compile(eq: Polynomial) -> tuple:
     return terms, scale
 
 
-def _evaluate_compiled(terms: list, coords: Sequence[int]) -> int:
-    """Value of compiled terms at integer coordinates."""
-    total = 0
+def _product(idx: tuple, products: dict) -> list:
+    """Column of the product of the coordinate columns in idx, kept in
+    `products` (from _coordinate_columns) with every prefix on the way."""
+    if idx not in products:
+        products[idx] = list(map(mul, _product(idx[:-1], products),
+                                 products[idx[-1:]]))
+    return products[idx]
+
+
+def _value_column(terms: list, products: dict) -> list:
+    """Values of compiled terms over a batch, one entry per trial; a
+    coefficient of 1 or -1 is an add or a sub."""
+    total = [0] * len(products[()])
     for c, idx in terms:
-        for i in idx:
-            c *= coords[i]
-        total += c
+        col = _product(idx, products)
+        if c not in (1, -1):
+            col = map(c.__mul__, col)
+        total = list(map(sub if c == -1 else add, total, col))
     return total
+
+
+_BATCH = 512  # trials per batch: one batch's columns are all that is held
 
 
 @dataclass
 class VanishingReport:
-    """vanishing_test's outcome: (trial, points, index, value) per failure."""
+    """vanishing_test's outcome: (trial, points, index, value) per
+    failure, by trial, then by equation index."""
     n: int
     trials: int
     equations: int
@@ -287,15 +310,15 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
     Points are drawn without repetition from [-20, 20] with a seeded
     generator, so runs are reproducible.
 
-    The test runs in plain ints.  Each equation is compiled once to
-    integer coefficients, scaled by the lcm of its denominators, and
-    each trial scales block i's cross ratios by L_i, the lcm of that
-    block's denominators.  An equation of multidegree d is homogeneous
-    of degree d_i in block i, so its integer value is its exact value
-    times the nonzero constant scale * prod_i L_i^(d_i): zero exactly
-    when the exact value is zero.  A nonzero value is recomputed as a
-    Rational at that point alone for the report.  Raises ValueError if
-    an equation is not multihomogeneous.
+    The test runs in plain ints, a batch of trials at a time, as integer
+    columns.  Each equation is compiled once to integer coefficients,
+    scaled by the lcm of its denominators; each trial scales block i's
+    cross ratios by L_i, the lcm of that block's denominators.  An
+    equation of multidegree d is homogeneous of degree d_i in block i,
+    so its integer value is its exact value times the nonzero constant
+    scale * prod_i L_i^(d_i): zero exactly when the exact value is zero.
+    A nonzero value is recomputed as a Rational at that point alone for
+    the report.  Raises ValueError if an equation is not multihomogeneous.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -305,14 +328,17 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
     eqs = cubic_generators(n) + quartic_equations(n)
     compiled = [_compile(eq)[0] for eq in eqs]
     failures = []
-    for trial in range(trials):
-        pts = tuple(rng.sample(range(-20, 21), n))
-        coords, _ = _scaled_coordinates(pts)
-        for idx, terms in enumerate(compiled):
-            if _evaluate_compiled(terms, coords):
-                exact = embedding_coordinates(PointConfig(pts))
-                failures.append((trial, pts, idx,
-                                 str(eqs[idx].evaluate(exact))))
+    for start in range(0, trials, _BATCH):
+        batch = [tuple(rng.sample(range(-20, 21), n))
+                 for _ in range(min(_BATCH, trials - start))]
+        products, _ = _coordinate_columns(batch)
+        hits = sorted(
+            (t, idx) for idx, terms in enumerate(compiled)
+            for t in compress(count(), _value_column(terms, products)))
+        for t, idx in hits:
+            exact = embedding_coordinates(PointConfig(batch[t]))
+            failures.append((start + t, batch[t], idx,
+                             str(eqs[idx].evaluate(exact))))
     return VanishingReport(n, trials, len(eqs), failures)
 
 

@@ -33,6 +33,17 @@ def test_int_interop_and_hash():
     assert {Rational(2): "x"}[2] == "x"
 
 
+def test_bool_operands_are_stored_as_ints():
+    # a bool entering a Rational is kept as the plain int it stands for
+    for r in (Rational(True), Rational(3, True), Rational(False, True),
+              Rational(1, 2) + True, True + Rational(1, 2),
+              Rational(1, 2) * True, False * Rational(1, 2)):
+        assert type(r.num) is int and type(r.den) is int
+    assert repr(Rational(True)) == "Rational(1, 1)"
+    assert repr(Rational(3, True)) == "Rational(3, 1)"
+    assert str(Rational(True, 2)) == "1/2"
+
+
 def test_mixed_type_operands():
     # bools are ints; floats and strings are no Rationals on either side
     assert True + Rational(1, 2) == Rational(3, 2)

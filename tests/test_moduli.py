@@ -8,6 +8,7 @@ normalization (content-free, positive lex-leading coefficient).
 
 import hashlib
 import os
+import random
 from math import comb, prod
 
 import pytest
@@ -50,8 +51,8 @@ from m0nbar.moduli import (
 from m0nbar.moduli import (
     _block_var,
     _compile,
-    _evaluate_compiled,
-    _scaled_coordinates,
+    _coordinate_columns,
+    _value_column,
 )
 from m0nbar.poly import (
     Polynomial,
@@ -302,10 +303,69 @@ def test_vanishing_rejects_a_non_multihomogeneous_equation(monkeypatch):
         vanishing_test(6, trials=1)
 
 
+@pytest.mark.parametrize("mutants", [["a0 + a1"], ["a0 + a1", "b0 + b1"]])
+def test_vanishing_failures_match_a_per_trial_oracle(monkeypatch, mutants):
+    # 1100 trials span three batches.  a0 + a1 vanishes in one trial of
+    # the 1100; with b0 + b1 beside it most trials fail twice, so the
+    # order within a trial (by equation index) is checked too.
+    import m0nbar.moduli as moduli
+
+    ring = moduli_ring(5)
+    extra = [parse_polynomial(ring, m) for m in mutants]
+    monkeypatch.setattr(moduli, "quartic_equations", lambda n: extra)
+    trials = 1100
+    assert trials > 2 * moduli._BATCH
+    report = vanishing_test(5, trials=trials, seed=0)
+    eqs = cubic_generators(5) + extra
+    rng = random.Random(0)
+    expected = []
+    for trial in range(trials):
+        points = tuple(rng.sample(range(-20, 21), 5))
+        coords = embedding_coordinates(PointConfig(points))
+        for index, eq in enumerate(eqs):
+            value = eq.evaluate(coords)
+            if value:
+                expected.append((trial, points, index, str(value)))
+    assert report.failures == expected
+    failed = {f[0] for f in expected}
+    if len(mutants) == 1:
+        assert 0 < len(failed) < trials
+    else:
+        assert len(expected) > len(failed)
+
+
+def test_vanishing_draws_its_points_one_batch_at_a_time(monkeypatch):
+    # each batch is evaluated before the next one is drawn, so memory
+    # stays flat in the number of trials
+    import m0nbar.moduli as moduli
+
+    draws = []
+    sample = random.Random.sample
+
+    def counted_sample(self, *args, **kwargs):
+        draws.append(None)
+        return sample(self, *args, **kwargs)
+
+    columns = moduli._coordinate_columns
+    evaluated = []
+
+    def recorded_columns(batch):
+        evaluated.append((len(draws), len(batch)))
+        return columns(batch)
+
+    monkeypatch.setattr(random.Random, "sample", counted_sample)
+    monkeypatch.setattr(moduli, "_coordinate_columns", recorded_columns)
+    size = moduli._BATCH
+    trials = 2 * size + 76
+    assert vanishing_test(5, trials=trials, seed=0).ok
+    assert evaluated == [(size, size), (2 * size, size), (trials, 76)]
+
+
 @st.composite
 def multihomogeneous_at_points(draw):
     """A multihomogeneous polynomial with Rational coefficients over
-    moduli_ring(5) or moduli_ring(6), and distinct integer points."""
+    moduli_ring(5) or moduli_ring(6), and a batch of one to four
+    configurations of distinct integer points."""
     n = draw(st.sampled_from([5, 6]))
     ring = moduli_ring(n)
     degree = tuple(draw(st.integers(0, 2)) for _ in ring.block_sizes)
@@ -315,24 +375,30 @@ def multihomogeneous_at_points(draw):
     coeffs = st.builds(rat, st.integers(-9, 9).filter(bool),
                        st.integers(1, 12))
     p = Polynomial(ring, {m: draw(coeffs) for m in monos})
-    points = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n,
-                           unique=True))
-    return p, points
+    batch = draw(st.lists(
+        st.lists(st.integers(-40, 40), min_size=n, max_size=n,
+                 unique=True).map(tuple),
+        min_size=1, max_size=4))
+    return p, batch
 
 
 @given(multihomogeneous_at_points())
 @settings(max_examples=150)
 def test_integer_evaluation_is_scaled_exact_evaluation(case):
-    # the vanishing test's integer value is the exact value times
-    # scale * prod_i L_i^(d_i), a positive constant
-    p, points = case
+    # each entry of the vanishing test's value column is the exact value
+    # at its own configuration times scale * prod_i L_i^(d_i), a
+    # positive constant
+    p, batch = case
     terms, scale = _compile(p)
-    coords, block_scales = _scaled_coordinates(points)
-    exact = p.evaluate(embedding_coordinates(PointConfig(points)))
-    factor = scale * prod(L ** d for L, d
-                          in zip(block_scales, p.multidegree()))
-    assert factor > 0
-    assert _evaluate_compiled(terms, coords) == exact * factor
+    products, block_scales = _coordinate_columns(batch)
+    values = _value_column(terms, products)
+    assert len(values) == len(batch)
+    for value, points, scales in zip(values, batch, zip(*block_scales)):
+        exact = p.evaluate(embedding_coordinates(PointConfig(points)))
+        factor = scale * prod(L ** d for L, d
+                              in zip(scales, p.multidegree()))
+        assert factor > 0
+        assert value == exact * factor
 
 
 # -- quartic membership witness ---------------------------------------------

@@ -321,6 +321,16 @@ def test_scalar_products():
     assert p * 1 == p and 1 * p == p
 
 
+def test_bool_constants_print_as_ints():
+    x = XYZ.var("x")
+    assert str(x + True) == "x + 1" and str(True + x) == "x + 1"
+    assert str(x - True) == "x - 1"
+    assert str(x * True) == "x" and (x * False).is_zero()
+    (c,) = XYZ.constant(True).terms.values()
+    assert type(c.num) is int and repr(c) == "Rational(1, 1)"
+    assert XYZ.constant(False).is_zero()
+
+
 @given(small_polys(), small_polys(),
        st.sampled_from([lex_order, grevlex_order]))
 @settings(max_examples=150)
