@@ -25,7 +25,9 @@ dropped unreduced once the standard monomials of the leads in that
 degree reach e_d, the Hilbert function of a complete intersection of the
 forms' degrees, which no such ideal undercuts; progress counts only the
 reduced pairs.  Public Groebner bases are reduced, monic, and sorted by
-ascending leading monomial, so equal ideals yield identical bases.
+ascending leading monomial, so equal ideals yield identical bases.  Each
+run checks its generators on its packed reduced basis, and an Ideal
+reuses a basis cached under another order when no lead moves.
 
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
 with v as the smallest variable, whose basis elements divided by their
@@ -312,7 +314,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     progress(S-pairs reduced, pairs queued, basis size) is called every
     100 reduced S-pairs while pairs remain queued and once at the end
     with 0 queued; a dropped pair is neither reduced nor queued.  A run
-    that restarts with wider fields reports again from the start.
+    that restarts with wider fields reports again from the start.  A
+    generator that does not reduce to zero against the packed reduced
+    basis raises AssertionError.
     """
     polys = [p for p in gens if p.terms]
     if any(p.ring != order.ring for p in polys):
@@ -347,11 +351,12 @@ def _complete_intersection_series(polys: Sequence[Polynomial]) -> list | None:
 def _buchberger(polys: list, packer: _Packer,
                 progress: Progress | None) -> list:
     guard, low = packer.guard, packer.low
+    nums = [packer.poly(p)[0] for p in polys]
     G: list = []
     P: list = []
     first: dict = {}
-    for p in polys:
-        r, _ = _reduce(packer.poly(p)[0], G, guard, first)
+    for num in nums:
+        r, _ = _reduce(dict(num), G, guard, first)
         if r:
             _update(G, P, packer.gen(_primitive(r, max(r))), packer)
 
@@ -387,12 +392,19 @@ def _buchberger(polys: list, packer: _Packer,
     if progress is not None:
         progress(done, 0, len(G))
 
-    return _reduced_basis(G, packer, polys[0].ring)
+    rows = _reduced_basis(G, packer)
+    basis = [packer.gen(r) for r in rows]
+    first = {}
+    if any(_reduce(num, basis, guard, first)[0] for num in nums):
+        raise AssertionError("generator does not reduce to zero "
+                             "against its own Groebner basis")
+    ring = polys[0].ring
+    return [packer.polynomial(ring, r, g.lc) for r, g in zip(rows, basis)]
 
 
-def _reduced_basis(G: Sequence[_Gen], packer: _Packer,
-                   ring: RingSpec) -> list:
-    """Minimalize, tail-reduce, and make monic; sort by leading monomial."""
+def _reduced_basis(G: Sequence[_Gen], packer: _Packer) -> list:
+    """Minimalize and tail-reduce; the primitive integer rows, sorted by
+    leading monomial, each with a positive leading coefficient."""
     guard = packer.guard
     kept: list = []
     for g in sorted(G, key=lambda g: g.lm):
@@ -405,7 +417,7 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer,
     for g in kept:
         r, den = _reduce(dict(g.tail), kept, guard, first)
         r[g.lm] = g.lc * den
-        out.append(packer.polynomial(ring, r, r[g.lm]))
+        out.append(_primitive(r, g.lm))
     return out
 
 
@@ -427,17 +439,27 @@ class Ideal:
 
     def groebner_basis(self, order: MonomialOrder | None = None,
                        progress: Progress | None = None) -> tuple:
+        """Reduced basis under order (grevlex by default), cached.  On a
+        miss, the first basis G cached under another order whose every
+        lead stays put, lm_order(g) == lm_other(g), is reused sorted by
+        those leads, with no run and no progress.  Proof: f in I divided
+        by G under order leaves a remainder in I with no term in <lm G> =
+        in_other(I), so 0; every tail term is standard, so G is reduced.
+        Homogeneity is not needed."""
         if order is None:
             order = grevlex_order(self.ring)
         if order.ring != self.ring:
             raise ValueError("order from a different ring")
         cached = self._gb.get(order)
         if cached is None:
-            cached = tuple(buchberger(self.gens, order, progress))
-            # sanity: every original generator must reduce to zero
-            if any(r.terms for r in _remainders(self.gens, cached, order)):
-                raise AssertionError("generator does not reduce to zero "
-                                     "against its own Groebner basis")
+            for other, basis in self._gb.items():
+                if all(g.leading_monomial(order) == g.leading_monomial(other)
+                       for g in basis):
+                    cached = tuple(sorted(basis, key=lambda g: order.key(
+                        g.leading_monomial(order))))
+                    break
+            else:
+                cached = tuple(buchberger(self.gens, order, progress))
             self._gb[order] = cached
         return cached
 

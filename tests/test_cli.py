@@ -20,11 +20,11 @@ SATURATE_7_SHA256 = (
     "80ba43a1e51d6f6d4ef4578a40e654aae34d338df2c9fed8a3ae7a3c639e4953")
 SATURATE_6_GREVLEX_SHA256 = (
     "903683d866ac6b8e7c15ee917d1bb8238dfdff41f92dab4cc50d17be95a673e4")
-# the 9 progress lines of saturate 7 on stderr, from the pipeline that
+# the 7 progress lines of saturate 7 on stderr, from the pipeline that
 # starts at the cubics and the quartics and saturates each block by its
 # bare last variable first; their queued counts must be live pairs only
 SATURATE_7_PROGRESS_SHA256 = (
-    "615321c2468eb2957a44ccdb0ad5eb9113c2a06fe0ac337a3c312c1d3e515bd7")
+    "18bbf94ab85fcf9c221644bf7ebf63c197a3617e8f777b2f0510fc1ce9cdee02")
 # sha256 of the full stdout of two verify runs: a change to the vanishing
 # test must keep the printed checks and counts byte for byte
 VERIFY_7_SHA256 = (
@@ -248,10 +248,11 @@ def test_saturate_n7_reports_progress(capsys):
     assert "lex initial ideal square-free: yes" in lines
     assert sha256(out) == SATURATE_7_SHA256
     progress = [l for l in err.splitlines() if l.startswith("S-pairs:")]
-    assert len(progress) == 9
-    # each of the 4 Groebner runs reports its end once: one each for
-    # blocks a, b and c, and block b's reduced grevlex basis after its
-    # certificate; block d's order is grevlex itself, whose basis block
-    # b's result already carries
-    assert sum(", 0 queued" in l for l in progress) == 4
+    assert len(progress) == 7
+    # each of the 3 Groebner runs reports its end once: one each for
+    # blocks a and b, and block b's reduced grevlex basis after its
+    # certificate; block b's result carries that basis, whose leads
+    # block c's order keeps, and block d's order is grevlex itself, so
+    # both read it and run nothing
+    assert sum(", 0 queued" in l for l in progress) == 3
     assert sha256("\n".join(progress)) == SATURATE_7_PROGRESS_SHA256

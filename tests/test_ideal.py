@@ -7,13 +7,14 @@ intersection of monomial ideals.
 """
 
 import random
-import sys
+from itertools import permutations
 from operator import sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_engine_random import random_poly
 from test_moduli import cubic_quartic_ideal, cubic_route
 
 from m0nbar.arith import matrix_rank, rat
@@ -239,6 +240,94 @@ def test_groebner_cache():
     order = lex_order(XY)
     assert I.groebner_basis(order) is I.groebner_basis(order)
     assert I.groebner_basis(order) is not I.groebner_basis(grevlex_order(XY))
+
+
+def spy_on_runs(monkeypatch):
+    """Log the order of every run of m0nbar.ideal.buchberger, which
+    Ideal.groebner_basis calls; returns the log."""
+    import m0nbar.ideal as ideal_module
+    run = ideal_module.buchberger
+    orders = []
+
+    def spy(gens, order, progress=None):
+        orders.append(order)
+        return run(gens, order, progress)
+
+    monkeypatch.setattr(ideal_module, "buchberger", spy)
+    return orders
+
+
+# grevlex, lex, two block orders, an elimination order and a grevlex
+# with its variables permuted, all on x, y, z
+XYZ_ORDERS = [grevlex_order(XYZ), lex_order(XYZ),
+              MonomialOrder(XYZ, [[2], [0, 1]]),
+              MonomialOrder(XYZ, [[1, 0], [2]]),
+              elimination_order(XYZ, [0]),
+              MonomialOrder(XYZ, [[0, 2, 1]])]
+
+
+def test_reused_bases_match_fresh_runs_on_random_ideals(monkeypatch):
+    # an ideal whose basis is cached under one order is asked for another;
+    # whether it reuses the cached basis or runs, the answer is the fresh
+    # reduced basis under the new order.  Generators mix degrees 1 to 3,
+    # homogeneous or not.
+    rng = random.Random(20261019)
+    runs = spy_on_runs(monkeypatch)
+    reused = ran = 0
+    for _ in range(40):
+        gens = [random_poly(rng, XYZ, rng.randint(1, 3), rng.random() < 0.5)
+                for _ in range(rng.randint(1, 3))]
+        fresh = {order: buchberger(gens, order) for order in XYZ_ORDERS}
+        for first, second in permutations(XYZ_ORDERS, 2):
+            I = Ideal(XYZ, gens).with_cached_basis(first, fresh[first])
+            runs.clear()
+            assert list(I.groebner_basis(second)) == fresh[second]
+            assert I.groebner_basis(second) is I.groebner_basis(second)
+            reused += not runs
+            ran += runs == [second]
+    assert reused + ran == 40 * 30
+    assert (reused, ran) == (812, 388)
+
+
+def test_groebner_basis_runs_when_one_lead_moves(monkeypatch):
+    # under z > (x, y) the generators x*y - y and y*z + z^2 are the
+    # reduced basis, with leads x*y and z^2.  Under grevlex the first
+    # lead stays put and the second moves to y*z, where
+    # S(x*y - y, y*z + z^2) reduces to x*z^2 - z^2: the cached basis is
+    # no grevlex basis, so only a run gives the right one
+    I = Ideal(XYZ, [P(XYZ, "x*y - y"), P(XYZ, "y*z + z^2")])
+    first = MonomialOrder(XYZ, [[2], [0, 1]])
+    assert [str(g) for g in I.groebner_basis(first)] == ["x*y - y",
+                                                         "y*z + z^2"]
+    runs = spy_on_runs(monkeypatch)
+    basis = I.groebner_basis(grevlex_order(XYZ))
+    assert [str(g) for g in basis] == ["y*z + z^2", "x*y - y",
+                                       "x*z^2 - z^2"]
+    assert runs == [grevlex_order(XYZ)]
+    # lex moves the first basis's z^2 to y*z again, but no lead of the
+    # grevlex basis, which is reused in its lex order
+    runs.clear()
+    lex = I.groebner_basis(lex_order(XYZ))
+    assert [str(g) for g in lex] == ["y*z + z^2", "x*z^2 - z^2", "x*y - y"]
+    assert list(lex) == buchberger(I.gens, lex_order(XYZ))
+    assert runs == []
+
+
+def test_generator_check_catches_a_dropped_basis_element(monkeypatch):
+    # every run checks its generators on its own packed reduced basis:
+    # with the basis's first element dropped before the check, x*y - 1
+    # leaves y^2 - 1 against x - y alone, and both a cached basis and a
+    # direct run refuse to return
+    import m0nbar.ideal as ideal_module
+    reduced = ideal_module._reduced_basis
+    gens = [P(XY, "x*y - 1"), P(XY, "y^2 - 1")]
+    assert gb_strings(gens, lex_order(XY)) == ["y^2 - 1", "x - y"]
+    monkeypatch.setattr(ideal_module, "_reduced_basis",
+                        lambda G, packer: reduced(G, packer)[1:])
+    with pytest.raises(AssertionError, match="does not reduce to zero"):
+        Ideal(XY, gens).groebner_basis(lex_order(XY))
+    with pytest.raises(AssertionError, match="does not reduce to zero"):
+        buchberger(gens, lex_order(XY))
 
 
 def test_initial_ideal_cache():
@@ -525,14 +614,9 @@ def test_saturate_by_block_gives_up_after_ten_attempts(monkeypatch):
     # retry must end in an error that names the block and counts its ten
     # attempts, not run forever
     import m0nbar.ideal as ideal_module
-    remainders = ideal_module._remainders
     certificates = []
 
     def failing_certificate(fs, basis, order):
-        # the certificate is the one call made from saturate_by_block
-        # itself; the generator checks of the runs stay real
-        if sys._getframe(1).f_code.co_name != "saturate_by_block":
-            return remainders(fs, basis, order)
         certificates.append(len(fs))
         return list(fs)
 
@@ -550,13 +634,15 @@ def test_saturation_pipeline_progress_n6():
     # interreduction); the benchmark reads its per-run counts from here.
     # The pipeline starts from the five cubics and the quartic, an ideal
     # that is already saturated: every block's last variable is a
-    # nonzerodivisor, so each of the three blocks stops after one run.
+    # nonzerodivisor, so each block stops after one basis.  Blocks a and
+    # b run; block c's order is grevlex itself, and block b's basis keeps
+    # every lead under it, so block c reuses that basis and runs nothing.
     calls = []
     saturation_pipeline(6, lambda *args: calls.append(args))
-    assert calls == [(11, 0, 7), (11, 0, 7), (11, 0, 7)]
-    assert len(calls) == 3
-    assert sum(c[0] for c in calls) == 33
-    assert sum(c[2] for c in calls) == 21
+    assert calls == [(11, 0, 7), (11, 0, 7)]
+    assert len(calls) == 2
+    assert sum(c[0] for c in calls) == 22
+    assert sum(c[2] for c in calls) == 14
     # from the cubics alone, block a stops after one run; block b takes
     # one run for its last variable and one for the reduced grevlex basis
     # of the certified saturation, which adds the quartic; block c's
@@ -568,9 +654,10 @@ def test_saturation_pipeline_progress_n6():
 
 def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
     # (len(fs), len(basis)) of every normal-form batch of the n = 6
-    # pipeline: the generator check of each block's one Buchberger run on
-    # the six cubics and quartic.  No block divides by its last variable,
-    # so no block runs a certificate (see the progress test above).
+    # pipeline, which are its certificates only: each Buchberger run
+    # checks its generators on its own packed basis.  No block divides by
+    # its last variable, so no block runs a certificate (see the progress
+    # test above).
     import m0nbar.ideal as ideal_module
     batches = []
     remainders = ideal_module._remainders
@@ -581,24 +668,23 @@ def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
 
     monkeypatch.setattr(ideal_module, "_remainders", spy)
     saturation_pipeline(6)
-    assert batches == [(6, 7), (6, 7), (6, 7)]
-    # from the cubics alone, block b's certificate sits between its two
-    # checks: it tests only the one basis element that b2 divides, times
-    # each of the block's two other variables (an undivided element is in
-    # the ideal already)
-    batches.clear()
+    assert batches == []
+    # from the cubics alone, block b's certificate tests only the one
+    # basis element that b2 divides, times each of the block's two other
+    # variables (an undivided element is in the ideal already)
     cubic_route(6)
-    assert batches == [(5, 10), (5, 10), (2, 10), (10, 7)]
+    assert batches == [(2, 10)]
 
 
-@pytest.mark.parametrize("n, runs", [(5, 2), (6, 3), (7, 4)])
+@pytest.mark.parametrize("n, runs", [(5, 1), (6, 2), (7, 3)])
 def test_saturation_pipeline_settles_every_block_unsheared(monkeypatch,
                                                            n, runs):
-    # every block is settled by its bare last variable: no shear, one run
-    # per block, and at n = 7 one more for block b's certified saturation
-    # (b2 divides with k = 1); the last block's order is grevlex itself,
-    # so at n = 7 it reads the basis block b's result carries and runs
-    # nothing
+    # every block is settled by its bare last variable: no shear, one
+    # basis per block, and at n = 7 one more run for block b's certified
+    # saturation (b2 divides with k = 1).  One block per n reuses a
+    # cached basis whose leads its order keeps and runs nothing (block b
+    # at n = 5, block c at n = 6 and 7), and at n = 7 block d reads the
+    # grevlex basis that block b's result carries
     import m0nbar.ideal as ideal_module
 
     def no_shear(*args):
@@ -626,6 +712,57 @@ def test_saturation_pipeline_never_takes_the_square_target(monkeypatch, n):
     monkeypatch.setattr(ideal_module, "_complete_intersection_series",
                         no_target)
     saturation_pipeline(n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_saturation_pipeline_reuses_only_fresh_bases(monkeypatch, n):
+    # a basis that groebner_basis takes from the cache under an order new
+    # to its ideal equals a fresh run under that order; each n reuses one
+    # (block b at n = 5, block c at n = 6 and 7)
+    runs = spy_on_runs(monkeypatch)
+    basis_of = Ideal.groebner_basis
+    reuses = []
+
+    def spy(self, order=None, progress=None):
+        order = order or grevlex_order(self.ring)
+        new, before = order not in self._gb, len(runs)
+        basis = basis_of(self, order, progress)
+        if new and len(runs) == before:
+            reuses.append((self.gens, order, basis))
+        return basis
+
+    monkeypatch.setattr(Ideal, "groebner_basis", spy)
+    saturation_pipeline(n)
+    assert len(reuses) == 1
+    for gens, order, basis in reuses:
+        assert list(basis) == buchberger(gens, order)
+
+
+def with_leads(basis, order):
+    return sorted((str(g), g.leading_monomial(order)) for g in basis)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_saturation_pipeline_repeats_no_run(monkeypatch, n):
+    # no run of the pipeline returns, with the same leads, a basis that
+    # its ideal already has cached under another order: such a run only
+    # finds that every S-pair reduces to zero.  (At n = 6 block b's run
+    # returns block a's basis with one lead moved, which only a run can
+    # tell is still a basis.)
+    runs = spy_on_runs(monkeypatch)
+    basis_of = Ideal.groebner_basis
+
+    def spy(self, order=None, progress=None):
+        cached = [with_leads(b, other) for other, b in self._gb.items()]
+        before = len(runs)
+        basis = basis_of(self, order, progress)
+        if len(runs) > before:
+            assert with_leads(basis, runs[-1]) not in cached
+        return basis
+
+    monkeypatch.setattr(Ideal, "groebner_basis", spy)
+    saturation_pipeline(n)
+    assert len(runs) == n - 4
 
 
 # -- monomial ideals and invariants ----------------------------------------
