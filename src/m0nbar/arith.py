@@ -18,7 +18,6 @@ with the sign that makes a chosen leading entry positive.
 from __future__ import annotations
 
 from functools import total_ordering
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -199,23 +198,15 @@ def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
     time: while pivot p holds the row's leading column c, the row becomes
     (p[c] * row - row[c] * p) / gcd(p[c], row[c]).  A row that reaches a
     free column is made primitive (_primitive) and becomes its pivot.
-    A heap of the row's columns gives its next leading column: fill-in
-    columns are pushed, cancelled ones skipped when popped (no pivot
-    has a column left of its leading one, so none comes back once
-    passed).  Scaling a row by a positive integer keeps the rank, so
-    each row first has its denominators cleared; the input rows are not
-    modified.
+    Scaling a row by a positive integer keeps the rank, so each row first
+    has its denominators cleared; the input rows are not modified.
     """
     pivots: dict = {}
     for row in rows:
         r, _ = _int_form(row if isinstance(row, Mapping)
                          else dict(enumerate(row)))
-        heap = list(r)
-        heapify(heap)
         while r:
-            c = heappop(heap)
-            if c not in r:
-                continue
+            c = min(r)
             p = pivots.get(c)
             if p is None:
                 pivots[c] = _primitive(r, c)
@@ -235,5 +226,4 @@ def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
                         del r[j]
                 else:
                     r[j] = -b * x
-                    heappush(heap, j)
     return len(pivots)

@@ -168,17 +168,15 @@ class _Gen:
         self.top = top
 
 
-def _reduce(num: dict, gens: Sequence[_Gen], guard: int, first: dict,
-            den: int = 1) -> tuple:
+def _reduce(num: dict, gens: Sequence[_Gen], guard: int, first: dict) -> tuple:
     """Fully reduce the integer polynomial `num` (consumed) modulo gens.
 
     num maps packed monomials to coefficients.  Returns (remainder,
-    den): remainder/den is the exact rational remainder of the input
-    num/den.  No term of the remainder is divisible by any generator's
-    leading monomial.  Deterministic: the largest unprocessed monomial
-    is cancelled against the first generator (in list order) whose lead
-    divides it.  Raises _Overflow when a product would leave its packed
-    fields.
+    den): remainder/den is the exact rational remainder of num.  No term
+    of the remainder is divisible by any generator's leading monomial.
+    Deterministic: the largest unprocessed monomial is cancelled against
+    the first generator (in list order) whose lead divides it.  Raises
+    _Overflow when a product would leave its packed fields.
 
     first maps a monomial m to an index i such that no lead in gens[:i]
     divides m, and gens[i] is the first divisor if i < len(gens).  The
@@ -189,6 +187,7 @@ def _reduce(num: dict, gens: Sequence[_Gen], guard: int, first: dict,
     heapify(heap)
     n = len(gens)
     out: dict = {}
+    den = 1
     while heap:
         mono = -heappop(heap)
         c = num.pop(mono)
@@ -495,8 +494,8 @@ def _remainders(fs: Sequence[Polynomial], basis: Sequence[Polynomial],
             out = []
             for f in fs:
                 num, scale = packer.poly(f)
-                r, den = _reduce(num, gens, packer.guard, first, scale)
-                out.append(packer.polynomial(f.ring, r, den))
+                r, den = _reduce(num, gens, packer.guard, first)
+                out.append(packer.polynomial(f.ring, r, den * scale))
             return out
         except _Overflow:
             width *= 2
@@ -725,7 +724,9 @@ def _hilbert_numerator(gens: tuple) -> tuple:
         return result
     # N(M) = N(M + x) + T * N(M : x) for a single variable x
     ex = tuple(1 if v == best else 0 for v in range(nv))
-    plus = _minimalize([ex] + [g for g in gens if not g[best]])
+    # minimal: gens is, x_best divides none of the kept ones, and only
+    # the unit, returned above, could divide x_best
+    plus = (ex, *[g for g in gens if not g[best]])
     colon = _minimalize(tuple(map(sub, g, ex)) if g[best] else g
                         for g in gens)
     return _series_add(_hilbert_numerator(plus),

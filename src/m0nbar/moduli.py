@@ -210,10 +210,6 @@ class PointConfig:
         if len(pts) < 4:
             raise ValueError("need at least four points")
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
 
 def _cross_ratios(points: Sequence) -> list:
     """Per block i = 1, ..., n-3, the pairs (p_1 - p_{j+2},

@@ -204,18 +204,12 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
             return self.ring == other.ring and self.terms == other.terms
         if isinstance(other, (int, Rational)):
             return self == self.ring.constant(other)
         return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -275,13 +269,6 @@ class Polynomial:
 
     def leading_coefficient(self, order: MonomialOrder) -> Rational:
         return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        lc = self.leading_coefficient(order)
-        if lc == 1:
-            return self
-        inv = lc.inverse()
-        return Polynomial(self.ring, {m: c * inv for m, c in self.terms.items()})
 
     def multidegree(self) -> Multidegree:
         """Common multidegree of all terms; raises if not homogeneous."""

@@ -253,13 +253,13 @@ def test_rank_same_for_dense_and_sparse_rows(rows):
 
 
 def test_rank_finds_fill_in_before_stale_columns():
-    # row 2 minus row 0 cancels column 3, whose heap entry goes stale, and
-    # fills in columns 1 and 4 between the row's columns 0, 3 and 6; the
-    # leading column is then the fill-in 1, not 3 or 6.  Adding row 1
-    # fills column 3 back in, next to its stale entry, and the row becomes
-    # the pivot of column 3.  Row 3 is row 0 + row 2.  Row 6 minus row 5
-    # cancels column 3 for good: its stale entry, which has a pivot, pops
-    # before the fill-in 5, which has none.  Row 7 is row 5 + row 6.
+    # row 2 minus row 0 cancels column 3 and fills in columns 1 and 4
+    # between the row's columns 0, 3 and 6; the leading column is then the
+    # fill-in 1, not 3 or 6.  Adding row 1 fills column 3 back in, and the
+    # row becomes the pivot of column 3.  Row 3 is row 0 + row 2.  Row 6
+    # minus row 5 cancels column 3, which has a pivot, for good; the next
+    # leading column is the fill-in 5, which has none.  Row 7 is row 5 +
+    # row 6.
     rows = [{0: 1, 1: 1, 3: 1, 4: 2},
             {1: 1, 3: 1, 6: 1},
             {0: 1, 3: 1, 6: 1},

@@ -100,7 +100,7 @@ def spoly_certificate(I, order):
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
             s = spolynomial(gb[i], gb[j], order)
-            if not normal_form(s, gb, order).is_zero():
+            if normal_form(s, gb, order):
                 return False
     return True
 

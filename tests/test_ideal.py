@@ -8,6 +8,7 @@ intersection of monomial ideals.
 
 import random
 from itertools import permutations
+from math import comb
 from operator import sub
 
 import pytest
@@ -110,7 +111,7 @@ def test_spolynomials_reduce_to_zero():
     for i in range(len(gb)):
         for j in range(i + 1, len(gb)):
             s = spolynomial(gb[i], gb[j], order)
-            assert normal_form(s, gb, order).is_zero()
+            assert not normal_form(s, gb, order)
 
 
 def test_normal_form_exact_rational():
@@ -809,6 +810,24 @@ def test_hilbert_numerator():
     # coprime supports factor: <x, y^2> gives (1-T)(1-T^2)
     M2 = MonomialIdeal(XYZ, [(1, 0, 0), (0, 2, 0)])
     assert hilbert_numerator(M2) == [1, -1, -1, 1]
+
+
+def test_hilbert_numerator_counts_standard_monomials():
+    # independent oracle: the T^d coefficient of N(T)/(1-T)^k is the
+    # number of degree-d monomials outside M, counted one by one
+    rng = random.Random(20261019)
+    for _ in range(400):
+        k = rng.randint(1, 5)
+        ring = polynomial_ring([f"x{i}" for i in range(k)])
+        M = MonomialIdeal(ring, [tuple(rng.randint(0, 3) for _ in range(k))
+                                 for _ in range(rng.randint(0, 7))])
+        num = hilbert_numerator(M)
+        for d in range(9):
+            series = sum(c * comb(d - i + k - 1, k - 1)
+                         for i, c in enumerate(num[:d + 1]))
+            outside = sum(not M.contains(m)
+                          for m in monomials_of_multidegree(ring, (d,)))
+            assert series == outside, (M, d)
 
 
 def test_hilbert_degree():

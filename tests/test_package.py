@@ -1,4 +1,7 @@
-"""Tests for the package's public namespace."""
+"""Tests for the package's namespace: its public names and private helpers."""
+
+import ast
+from pathlib import Path
 
 import m0nbar
 
@@ -19,3 +22,31 @@ def test_all_names_have_their_own_docstrings():
         if not doc or doc.startswith(name + "("):
             bare.append(name)
     assert bare == []
+
+
+def _bound_names(stmt: ast.stmt) -> set:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def test_every_private_helper_is_used():
+    # a module-level _name that src/ mentions nowhere outside its own
+    # definition is dead code
+    private, used = set(), set()
+    for path in sorted(Path(m0nbar.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            bound = _bound_names(stmt)
+            private |= {name for name in bound
+                        if name.startswith("_") and not name.startswith("__")}
+            inner = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    inner.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    inner.add(node.attr)
+            # a recursive call is not a use
+            used |= inner - bound
+    assert sorted(private - used) == []
