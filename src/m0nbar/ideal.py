@@ -40,15 +40,16 @@ failed certificate retries with the next of the fixed sequence.  Ideal
 intersection is the only place that adjoins a variable: it builds the
 ring with one more variable t and eliminates t from t*I + (1-t)*J.
 Graded invariants (piece dimensions, minimal generator counts, Hilbert
-codimension and degree) come either from standard monomials of an
-initial ideal or from exact matrix ranks.
+codimension and degree) come either from the multigraded K-polynomial
+of an initial ideal or from exact matrix ranks.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import add, le, lshift, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -666,11 +667,26 @@ def _minimalize(monos: Iterable[Monomial]) -> tuple:
 
 class MonomialIdeal:
     """A monomial ideal stored by its minimal (mutually indivisible)
-    generating monomials."""
+    generating monomials, each a tuple of ring.nvars ints >= 0."""
 
     def __init__(self, ring: RingSpec, monos: Iterable[Monomial]) -> None:
+        monos = tuple(monos)
+        if not all(type(m) is tuple and len(m) == ring.nvars and all(
+                type(e) is int and e >= 0 for e in m) for m in monos):
+            raise ValueError(f"a monomial is not {ring.nvars} ints >= 0")
         self.ring = ring
         self.gens = _minimalize(monos)
+
+    @cached_property
+    def _numerator(self) -> dict:
+        """{multidegree a: c}, the K-polynomial sum c*t^a of R/M: the
+        multigraded Hilbert series is K(t) / prod_i (1 - t_i)^(n_i)."""
+        sizes = self.ring.block_sizes
+        w = sum(map(max, zip(*self.gens))).bit_length() + 1
+        weights = [1 << w * b for b, n in enumerate(sizes) for _ in range(n)]
+        mask = (1 << w) - 1
+        return {tuple(k >> w * b & mask for b in range(len(sizes))): c
+                for k, c in _k_polynomial(self.gens, weights).items()}
 
     def contains(self, mono: Monomial) -> bool:
         return any(all(map(le, g, mono)) for g in self.gens)
@@ -700,49 +716,46 @@ def initial_ideal(I: Ideal, order: MonomialOrder | None = None) -> MonomialIdeal
     return M
 
 
-def _hilbert_numerator(gens: tuple) -> tuple:
-    """Numerator N(T) of the Hilbert series of R/M over (1-T)^nvars,
-    grading every variable by 1.  gens must be minimal."""
+def _k_polynomial(gens: tuple, weights: Sequence[int]) -> dict:
+    """K-polynomial {packed degree: c} of R/M for minimal gens, variable v
+    of packed degree weights[v]; zeros kept.  Every key is the degree of
+    a divisor of lcm(gens), by induction (lcm(M + x) and x * lcm(M : x)
+    divide lcm(M)), so fields holding its total degree never carry."""
     if not gens:
-        return (1,)
+        return {0: 1}
     if any(sum(g) == 0 for g in gens):
-        return (0,)
-    nv = len(gens[0])
-    occ = [0] * nv
-    for g in gens:
-        for v in range(nv):
-            if g[v]:
-                occ[v] += 1
-    best = max(range(nv), key=lambda v: occ[v])
+        return {0: 0}
+    occ = [len(gens) - col.count(0) for col in zip(*gens)]
+    best = occ.index(max(occ))
     if occ[best] < 2:
-        # pairwise disjoint supports: series factors
-        result = (1,)
+        # pairwise disjoint supports: K = prod (1 - t^deg g)
+        result = {0: 1}
         for g in gens:
-            # times (1 - T^deg g)
-            result = _series_add(result,
-                                 (0,) * sum(g) + tuple(-c for c in result))
+            a = sum(map(mul, g, weights))
+            for k, c in list(result.items()):
+                result[k + a] = result.get(k + a, 0) - c
         return result
-    # N(M) = N(M + x) + T * N(M : x) for a single variable x
-    ex = tuple(1 if v == best else 0 for v in range(nv))
+    # K(M) = K(M + x) + t^deg x * K(M : x) for a single variable x
+    ex = tuple(int(v == best) for v in range(len(occ)))
     # minimal: gens is, x_best divides none of the kept ones, and only
     # the unit, returned above, could divide x_best
     plus = (ex, *[g for g in gens if not g[best]])
     colon = _minimalize(tuple(map(sub, g, ex)) if g[best] else g
                         for g in gens)
-    return _series_add(_hilbert_numerator(plus),
-                       (0,) + _hilbert_numerator(colon))
-
-
-def _series_add(a: tuple, b: tuple) -> tuple:
-    n = max(len(a), len(b))
-    return tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                 for i in range(n))
+    result = _k_polynomial(plus, weights)
+    w = weights[best]
+    for k, c in _k_polynomial(colon, weights).items():
+        result[k + w] = result.get(k + w, 0) + c
+    return result
 
 
 def hilbert_numerator(M: MonomialIdeal) -> list:
     """Coefficients of N(T) with H_{R/M}(T) = N(T)/(1-T)^nvars under the
     flattened grading (every variable has degree 1)."""
-    return list(_hilbert_numerator(M.gens))
+    N = [0] * (1 + max(map(sum, M._numerator)))
+    for a, c in M._numerator.items():
+        N[sum(a)] += c
+    return N
 
 
 def hilbert_degree(I: Ideal) -> tuple:
@@ -762,36 +775,19 @@ def hilbert_degree(I: Ideal) -> tuple:
             return c, (-1) ** c * moment
 
 
-def _degree_packing(ring: RingSpec, D: tuple) -> tuple:
-    """(pack, guard) for monomials of multidegree <= D packed into ints.
-
-    No exponent exceeds max(D), so fields of max(D).bit_length() + 1 bits
-    hold every exponent with a guard bit on top, as in _Packer: a product
-    of multidegree <= D is one add that never carries, and d divides m
-    iff (m - d) & guard == 0."""
-    width = max(D, default=0).bit_length() + 1
-    shifts = range(0, ring.nvars * width, width)
-    guard = sum(1 << (s + width - 1) for s in shifts)
-
-    def pack(mono: Monomial) -> int:
-        return sum(map(lshift, mono, shifts))
-
-    return pack, guard
-
-
 def _count_in(M: MonomialIdeal, D: tuple) -> int:
-    """Number of monomials of multidegree D inside M.  Only generators
-    of multidegree <= D componentwise can divide one of them."""
-    ring = M.ring
-    pack, guard = _degree_packing(ring, D)
-    gens = [pack(g) for g in M.gens if all(map(le, ring.multidegree(g), D))]
-    count = 0
-    for m in map(pack, monomials_of_multidegree(ring, D)):
-        for g in gens:
-            if not (m - g) & guard:
-                count += 1
-                break
-    return count
+    """Number of monomials of multidegree D inside M: dim R_D minus
+    dim (R/M)_D = sum c * dim R_(D-a) over M's K-polynomial terms c*t^a."""
+    sizes = M.ring.block_sizes
+    if len(D) != len(sizes):
+        raise ValueError("degree vector length does not match block count")
+
+    def dim(E: Iterable[int]) -> int:
+        return prod(comb(e + n - 1, n - 1) if e >= 0 else 0
+                    for e, n in zip(E, sizes))
+
+    return dim(D) - sum(c * dim(map(sub, D, a))
+                        for a, c in M._numerator.items() if c)
 
 
 def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
@@ -801,11 +797,15 @@ def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
     skip_unit) in D, p's coefficients with denominators cleared.  Column
     i is the i-th monomial of degree D in ascending order, so matrix_rank
     pivots on lex-smallest monomials: on the n = 8 matrices that has
-    35-45% less fill-in than pivoting on lex-largest.  Monomials are
-    packed into ints (_degree_packing) wide enough for every D, so a
-    product is one add and its column one dict lookup, and each p is
-    packed once for all of degrees."""
-    pack, _ = _degree_packing(ring, max(degrees, key=max, default=()))
+    35-45% less fill-in than pivoting on lex-largest.  Monomials pack
+    into ints with fields that hold every D: a product is one add, its
+    column one dict lookup, and each p is packed once for all degrees."""
+    width = max(map(max, degrees), default=0).bit_length() + 1
+    shifts = range(0, ring.nvars * width, width)
+
+    def pack(mono: Monomial) -> int:
+        return sum(map(lshift, mono, shifts))
+
     compiled = [(p.multidegree(),
                  [(pack(m), c) for m, c in _int_form(p.terms)[0].items()])
                 for p in polys if p.terms]

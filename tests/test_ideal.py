@@ -7,7 +7,7 @@ intersection of monomial ideals.
 """
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 from operator import sub
 
@@ -360,6 +360,35 @@ def test_invariants_build_the_initial_ideal_once(monkeypatch):
     for D in ((1, 1, 2), (1, 2, 1)):
         graded_piece_dim(I, D, method="standard")
     assert len(built) == 1
+
+
+def test_invariants_run_the_k_polynomial_recursion_once(monkeypatch, capsys):
+    import m0nbar.ideal as ideal_module
+    from m0nbar.cli import main
+    real = ideal_module._k_polynomial
+    top, depth = [], []
+
+    def spy(gens, weights):
+        if not depth:
+            top.append(gens)
+        depth.append(gens)
+        try:
+            return real(gens, weights)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(ideal_module, "_k_polynomial", spy)
+    I = cubic_quartic_ideal(6)
+    min_gens_by_total_degree(I)
+    hilbert_degree(I)
+    graded_piece_dim(I, (1, 1, 2), method="standard")
+    assert top == [initial_ideal(I).gens]
+    # saturate reads its invariants from the grevlex initial ideal; the
+    # lex initial ideal it checks for square-freeness computes no series
+    top.clear()
+    assert main(["saturate", "6"]) == 0
+    capsys.readouterr()
+    assert len(top) == 1
 
 
 @pytest.mark.parametrize("gens", [[], ["x*y - 1"]])
@@ -791,6 +820,15 @@ def test_monomial_ideal_minimal_gens():
     assert MonomialIdeal(XYZ, [xy, (0, 0, 1)]).is_squarefree()
 
 
+@pytest.mark.parametrize("mono", [(1, 0), (1, -1, 0), (1, 0, 0, 0), [1, 0, 0],
+                                  (1.0, 0, 0), "xyz"])
+def test_monomial_ideal_rejects_a_malformed_monomial(mono):
+    # a short tuple would be weighted by the wrong blocks, and a negative
+    # exponent read as the unit ideal
+    with pytest.raises(ValueError, match="not 3 ints >= 0"):
+        MonomialIdeal(XYZ, [(0, 1, 0), mono])
+
+
 def test_initial_ideal_and_squarefree():
     I5 = Ideal(R5, [P(R5, ABEQ)])
     M = initial_ideal(I5, lex_order(R5))
@@ -813,21 +851,49 @@ def test_hilbert_numerator():
 
 
 def test_hilbert_numerator_counts_standard_monomials():
-    # independent oracle: the T^d coefficient of N(T)/(1-T)^k is the
-    # number of degree-d monomials outside M, counted one by one
+    # independent oracle, monomials counted one by one: the T^d
+    # coefficient of N(T)/(1-T)^k is the number of degree-d monomials
+    # outside M, and in 1-3 blocks _count_in and the "standard" piece
+    # dimension count those inside M in every multidegree up to 3
     rng = random.Random(20261019)
     for _ in range(400):
         k = rng.randint(1, 5)
-        ring = polynomial_ring([f"x{i}" for i in range(k)])
-        M = MonomialIdeal(ring, [tuple(rng.randint(0, 3) for _ in range(k))
-                                 for _ in range(rng.randint(0, 7))])
+        cuts = sorted(rng.sample(range(1, k), rng.randint(0, min(2, k - 1))))
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, k])]
+        ring = polynomial_ring([f"x{i}" for i in range(k)], sizes)
+        flat = polynomial_ring(ring.names)
+        monos = [tuple(rng.randint(0, 3) for _ in range(k))
+                 for _ in range(rng.randint(0, 7))]
+        M = MonomialIdeal(ring, monos)
         num = hilbert_numerator(M)
         for d in range(9):
             series = sum(c * comb(d - i + k - 1, k - 1)
                          for i, c in enumerate(num[:d + 1]))
             outside = sum(not M.contains(m)
-                          for m in monomials_of_multidegree(ring, (d,)))
+                          for m in monomials_of_multidegree(flat, (d,)))
             assert series == outside, (M, d)
+        I = Ideal(ring, [Polynomial.from_terms(ring, [(m, 1)]) for m in monos])
+        for D in product(range(4), repeat=len(sizes)):
+            inside = sum(map(M.contains, monomials_of_multidegree(ring, D)))
+            assert _count_in(M, D) == inside, (M, D)
+            assert graded_piece_dim(I, D, "standard") == inside, (M, D)
+
+
+def test_piece_dims_outside_the_grading():
+    # a negative entry names an empty piece; a degree of the wrong length
+    # names none
+    I5 = Ideal(R5, [P(R5, ABEQ)])
+    M = initial_ideal(I5)
+    for D in ((-1, 3), (2, -1), (-1, -1)):
+        assert _count_in(M, D) == 0
+        for method in ("standard", "rank"):
+            assert graded_piece_dim(I5, D, method) == 0
+    for D in ((1,), (1, 2, 0)):
+        with pytest.raises(ValueError, match="block count"):
+            _count_in(M, D)
+        for method in ("standard", "rank"):
+            with pytest.raises(ValueError, match="block count"):
+                graded_piece_dim(I5, D, method)
 
 
 def test_hilbert_degree():
@@ -862,7 +928,7 @@ def test_graded_piece_dim_both_methods():
 
 
 def test_graded_invariants_in_degree_zero():
-    # degree 0 packs monomials into fields one bit wide (the guard bit)
+    # degree 0 packs the rank method's monomials into fields one bit wide
     for gens, want in [(["1"], 1), (["x"], 0), ([], 0)]:
         I = Ideal(XY, [P(XY, g) for g in gens])
         assert graded_piece_dim(I, (0,), "standard") == want
@@ -898,13 +964,15 @@ def min_gens_over_basis_degrees(I):
     """The oracle for min_gens_by_total_degree: the same count, dim I_D
     minus the span of (monomial != 1) * (basis element), in every
     multidegree D of the reduced grevlex basis, which holds the
-    multidegrees of all minimal generators and usually many more."""
+    multidegrees of all minimal generators and usually many more.  dim
+    I_D counts the monomials of degree D in the initial ideal one by one."""
     gb = I.groebner_basis()
     M = initial_ideal(I)
     out = {}
     for D in sorted({g.multidegree() for g in gb}):
         rows, = _macaulay_rows(gb, I.ring, [D], skip_unit=True)
-        count = _count_in(M, D) - matrix_rank(rows)
+        inside = sum(map(M.contains, monomials_of_multidegree(I.ring, D)))
+        count = inside - matrix_rank(rows)
         if count:
             out[sum(D)] = out.get(sum(D), 0) + count
     return out

@@ -9,6 +9,7 @@ normalization (content-free, positive lex-leading coefficient).
 import hashlib
 import os
 import random
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -23,6 +24,7 @@ from m0nbar.ideal import (
     equal_ideals,
     graded_piece_dim,
     hilbert_degree,
+    initial_ideal,
     min_gens_by_total_degree,
     saturate_by_block,
 )
@@ -459,6 +461,65 @@ def cubic_route(n, progress=None):
     return I
 
 
+def multidegrees(I):
+    """{d: the degree of I's variety against prod_i H_i^(d_i)}, H_i the
+    hyperplane class of block i: the part of degree codim of K(1 - s), K
+    the K-polynomial of I's grevlex initial ideal, whose term c * s^b
+    gives d_i = n_i - 1 - b_i (Miller-Sturmfels, ch. 8).  Its parts of
+    lower degree must vanish."""
+    sizes = I.ring.block_sizes
+    codim, _ = hilbert_degree(I)
+    terms = {a: c for a, c in initial_ideal(I)._numerator.items() if c}
+    # t_i = 1 - s_i, one block at a time; no term above codim is needed
+    for i in range(len(sizes)):
+        out = {}
+        for a, c in terms.items():
+            for b in range(min(a[i], codim - sum(a[:i])) + 1):
+                key = a[:i] + (b,) + a[i + 1:]
+                out[key] = out.get(key, 0) + (-1) ** b * comb(a[i], b) * c
+        terms = out
+    assert not any(c for b, c in terms.items() if sum(b) < codim)
+    return {tuple(n - 1 - e for n, e in zip(sizes, b)): c
+            for b, c in terms.items() if c}
+
+
+def check_multidegrees(n, degs, below):
+    """The geometry of M_{0,n} in P^1 x ... x P^(n-3), given its
+    multidegrees degs and those of M_{0,n-1} (below, or None)."""
+    k = n - 3
+    # positive exactly where d_1 + ... + d_j <= j for every j: that is
+    # Catalan(n - 3) entries, which sum to the degree (2n - 7)!!
+    support = {d for d in product(range(k + 1), repeat=k) if sum(d) == k
+               and all(sum(d[:j]) <= j for j in range(1, k + 1))}
+    assert set(degs) == support
+    assert len(support) == comb(2 * k, k) // (k + 1)
+    assert all(c > 0 for c in degs.values())
+    assert sum(degs.values()) == stable_tree_count(n)
+    # Kapranov: the last block maps M_{0,n} birationally onto P^(n-3)
+    assert degs[(0,) * (k - 1) + (k,)] == 1
+    # forgetting the last point: pi_* psi_n = kappa_0 = n - 3
+    if below is not None:
+        for d, c in degs.items():
+            if d[-1] == 1:
+                assert c == k * below.get(d[:-1], 0), d
+
+
+MULTIDEGREES = {
+    5: {(1, 1): 2, (0, 2): 1},
+    6: {(1, 1, 1): 6, (1, 0, 2): 2, (0, 2, 1): 3, (0, 1, 2): 3, (0, 0, 3): 1},
+}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_multidegrees_certify_the_embedding(n):
+    degs = multidegrees(saturation_pipeline(n))
+    assert multidegrees(cubic_quartic_ideal(n)) == degs
+    if n in MULTIDEGREES:
+        assert degs == MULTIDEGREES[n]
+    check_multidegrees(n, degs, multidegrees(cubic_quartic_ideal(n - 1))
+                       if n > 5 else None)
+
+
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_saturation_pipeline_matches_the_cubic_route(n):
     # saturating the cubics recovers the quartics and nothing more, so
@@ -481,6 +542,8 @@ def test_invariants_n8_match_predictions():
     I = cubic_quartic_ideal(8)
     assert min_gens_by_total_degree(I) == {3: comb(7, 4), 4: comb(7, 5)}
     assert hilbert_degree(I) == (10, stable_tree_count(8))
+    below = multidegrees(cubic_quartic_ideal(7))
+    check_multidegrees(8, multidegrees(I), below)
     # six of the 21 quartics, the most of any multidegree: 76 x 420 rows
     D = (0, 0, 1, 1, 2)
     assert graded_piece_dim(I, D, "rank") == graded_piece_dim(I, D, "standard")
@@ -512,6 +575,9 @@ def test_saturation_pipeline_n8_matches_predictions(capsys):
     assert min_gens_by_total_degree(I) == {d: comb(7, d + 1)
                                            for d in range(3, 7)}
     assert hilbert_degree(I) == (10, stable_tree_count(8))
+    degs = multidegrees(I)
+    assert multidegrees(cubic_quartic_ideal(8)) == degs
+    check_multidegrees(8, degs, multidegrees(cubic_quartic_ideal(7)))
     assert main(["saturate", "8"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SATURATE_8_SHA256

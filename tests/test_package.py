@@ -50,3 +50,27 @@ def test_every_private_helper_is_used():
             # a recursive call is not a use
             used |= inner - bound
     assert sorted(private - used) == []
+
+
+def test_every_module_level_import_is_used():
+    # an imported name that its module never loads is a leftover of a
+    # change; __init__.py's re-exports are used through __all__, which
+    # the tests above check
+    unused = []
+    for path in sorted(Path(m0nbar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            loaded |= set(m0nbar.__all__)
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(stmt, "module", None) == "__future__":
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []
