@@ -8,15 +8,17 @@ Representation: a monomial is a tuple of exponents over all variables,
 a polynomial is a dict mapping monomials to nonzero Rational
 coefficients.  Monomial orders compare precomputed integer key tuples
 that are additive under monomial multiplication, which makes every
-order here a genuine monomial order (multiplicative, with 1 minimal).
+order here a genuine monomial order (multiplicative, with 1 minimal);
+their digit weights pack those keys into ints that compare the same.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, product
-from operator import add
+from functools import lru_cache
+from itertools import accumulate, chain, product
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .arith import Rational
@@ -155,6 +157,22 @@ class MonomialOrder:
             parts.extend([-mono[i] for i in block[:0:-1]])
         return tuple(parts)
 
+    @lru_cache(maxsize=64)
+    def digit_weights(self, width: int) -> tuple:
+        """One int per variable: a monomial's dot product with them holds
+        its order digits, the prefix sums of key, in fields of `width`
+        bits, first digit highest.  The prefix sums change the key by a
+        triangular map with unit diagonal, and every digit is a 0/1 sum
+        of exponents between 0 and the total degree, so packed ints of
+        monomials whose total degree fits the fields compare like keys.
+        One cache serves all equal orders, so that an order kept with a
+        result carries no cache of its own."""
+        nv = self.ring.nvars
+        units = [tuple(int(u == v) for u in range(nv)) for v in range(nv)]
+        return tuple(sum(d << width * (nv - 1 - j)
+                         for j, d in enumerate(accumulate(self.key(unit))))
+                     for unit in units)
+
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, MonomialOrder) and self.ring == other.ring
                 and self.blocks == other.blocks)
@@ -263,9 +281,12 @@ class Polynomial:
     # -- structure ----------------------------------------------------
 
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
+        """The largest monomial under order: the largest dot product with
+        order.digit_weights, in fields that hold the top total degree."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        weights = order.digit_weights(self.total_degree().bit_length())
+        return max(self.terms, key=lambda m: sum(map(mul, m, weights)))
 
     def leading_coefficient(self, order: MonomialOrder) -> Rational:
         return self.terms[self.leading_monomial(order)]

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_engine_random import random_poly
 from test_moduli import cubic_quartic_ideal, cubic_route
 
-from m0nbar.arith import matrix_rank, rat
+from m0nbar.arith import _int_form, matrix_rank, rat
 from m0nbar.ideal import (
     Ideal,
     MonomialIdeal,
@@ -866,6 +866,8 @@ def test_hilbert_numerator_counts_standard_monomials():
                  for _ in range(rng.randint(0, 7))]
         M = MonomialIdeal(ring, monos)
         num = hilbert_numerator(M)
+        # N(T) ends at its last nonzero coefficient, [0] for the unit ideal
+        assert num[-1] or num == [0], (M, num)
         for d in range(9):
             series = sum(c * comb(d - i + k - 1, k - 1)
                          for i, c in enumerate(num[:d + 1]))
@@ -955,6 +957,66 @@ def test_min_gens_by_total_degree():
     inhom = Ideal(XY, [P(XY, "x"), P(XY, "x + y^2")])
     with pytest.raises(ValueError, match="not multihomogeneous"):
         min_gens_by_total_degree(inhom)
+
+
+# -- Macaulay rows against the column-numbering builder --------------------
+
+
+def macaulay_rows_by_column_number(polys, ring, degrees, skip_unit):
+    """The oracle for _macaulay_rows: the same rows in the same order,
+    keyed instead by column number.  Column i is the i-th monomial of D
+    in ascending tuple order, so every monomial of D is listed and
+    sorted."""
+    for D in degrees:
+        monos = sorted(monomials_of_multidegree(ring, D))
+        cols = {m: i for i, m in enumerate(monos)}
+        rows = []
+        for p in polys:
+            rem = tuple(map(sub, D, p.multidegree()))
+            if min(rem) < 0 or (skip_unit and not any(rem)):
+                continue
+            terms = _int_form(p.terms)[0]
+            for m in monomials_of_multidegree(ring, rem):
+                rows.append({cols[tuple(a + b for a, b in zip(t, m))]: c
+                             for t, c in terms.items()})
+        yield rows
+
+
+def test_macaulay_rows_match_the_column_numbering_builder():
+    # a packed key sorts like its monomial's exponent tuple, so both
+    # builders make the same matrix up to a monotone renaming of columns
+    rng = random.Random(20261020)
+    for _ in range(150):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        ring = polynomial_ring([f"x{i}" for i in range(sum(sizes))], sizes)
+
+        def multidegree(top):
+            return tuple(rng.randint(0, top) for _ in sizes)
+
+        polys = []
+        for _ in range(rng.randint(1, 5)):
+            monos = monomials_of_multidegree(ring, multidegree(2))
+            monos = rng.sample(monos, min(len(monos), rng.randint(1, 4)))
+            polys.append(Polynomial.from_terms(ring, [
+                (m, rat(rng.choice([-5, -2, -1, 1, 3]), rng.randint(1, 3)))
+                for m in monos]))
+        degrees = sorted({p.multidegree() for p in polys}
+                         | {multidegree(3), multidegree(3)})
+        skip_unit = rng.random() < 0.5
+        packed = _macaulay_rows(polys, ring, degrees, skip_unit)
+        numbered = macaulay_rows_by_column_number(polys, ring, degrees,
+                                                  skip_unit)
+        for D, rows, want in zip(degrees, packed, numbered):
+            assert len(rows) == len(want), D
+            column = {}
+            for row, old in zip(rows, want):
+                assert list(row.values()) == list(old.values())
+                for key, i in zip(row, old):
+                    assert column.setdefault(key, i) == i
+            keys = sorted(column)
+            assert [column[k] for k in keys] == sorted(column.values()), D
+            assert len(set(column.values())) == len(keys)
+            assert matrix_rank(rows) == matrix_rank(want), D
 
 
 # -- minimal generators against the loop over basis multidegrees ----------

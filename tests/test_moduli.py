@@ -58,6 +58,7 @@ from m0nbar.moduli import (
 )
 from m0nbar.poly import (
     Polynomial,
+    grevlex_order,
     lex_order,
     moduli_ring,
     monomials_of_multidegree,
@@ -518,6 +519,25 @@ def test_multidegrees_certify_the_embedding(n):
         assert degs == MULTIDEGREES[n]
     check_multidegrees(n, degs, multidegrees(cubic_quartic_ideal(n - 1))
                        if n > 5 else None)
+
+
+# sha256 of repr(sorted nonzero (multidegree, c) items) of the
+# K-polynomial of the saturated ideal; K does not depend on the order
+K_POLYNOMIAL_SHA256 = {
+    5: "4092672609cb228dafd3763ebb2ed4a3596971e97b27130b2386cab4e8ab1de9",
+    6: "d7071809488d067e00b13d8969e510a0c33bdfebf657187ee881b3c80dc5fb5a",
+    7: "5989b984642d4c08a771fbdd6d9051dc50d4a27d0328c5d7e18dd0e221f47cc4",
+}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_k_polynomial_is_pinned(n):
+    I = saturation_pipeline(n)
+    for order in (grevlex_order(I.ring), lex_order(I.ring)):
+        terms = sorted((a, c) for a, c in
+                       initial_ideal(I, order)._numerator.items() if c)
+        digest = hashlib.sha256(repr(terms).encode()).hexdigest()
+        assert digest == K_POLYNOMIAL_SHA256[n], order
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

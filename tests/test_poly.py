@@ -1,6 +1,6 @@
 """Tests for rings, monomial orders, and sparse polynomial arithmetic."""
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -344,6 +344,33 @@ def test_leading_term_of_product(p, q, make_order):
         a + b for a, b in zip(lp, lq))
     assert ((p * q).leading_coefficient(order)
             == p.leading_coefficient(order) * q.leading_coefficient(order))
+
+
+ORDERS_R5 = {
+    "lex": lex_order(R5),
+    "grevlex": grevlex_order(R5),
+    "permuted grevlex": MonomialOrder(R5, [[3, 0, 4, 2, 1]]),
+    "elimination": elimination_order(R5, [4, 1]),
+    "two blocks": MonomialOrder(R5, [[2, 0], [4, 1, 3]]),
+}
+
+
+@given(st.integers(min_value=2, max_value=2 ** 40),
+       st.sampled_from(sorted(ORDERS_R5)))
+@settings(max_examples=40)
+def test_leading_monomial_matches_the_key_oracle(B, name):
+    # every pair of monomials of R5 in at most two variables, each to the
+    # power 1 or B: their order digits tie or differ by 1 in the high
+    # fields while a lower digit differs by B, up to the total degree
+    order = ORDERS_R5[name]
+    monos = sorted({tuple(e * (v == i) + f * (v == j) for v in range(5))
+                    for i, j in combinations(range(5), 2)
+                    for e in (0, 1, B) for f in (0, 1, B)})
+    for a, b in combinations(monos, 2):
+        p = Polynomial(R5, {a: Rational(1), b: Rational(-1)})
+        assert p.leading_monomial(order) == max(a, b, key=order.key)
+    p = Polynomial(R5, {m: Rational(1) for m in monos})
+    assert p.leading_monomial(order) == max(monos, key=order.key)
 
 
 def test_leading_terms():
