@@ -30,6 +30,7 @@ binomial identity predicting the number of degree-d generators.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, compress, count
 from math import comb, lcm
@@ -229,9 +230,10 @@ def embedding_coordinates(config: PointConfig) -> list:
 
 def _coordinate_columns(batch: Sequence[Sequence[int]]) -> tuple:
     """(products, scales) for a batch of distinct integer point tuples.
-    products maps (v,) to variable v's column over the batch: its cross
-    ratio times L_i, the lcm of block i's denominators, as ints; and ()
-    to the column of ones.  scales holds each block's column of L_i."""
+    products holds the leaf columns of a program from _horner: (v,)
+    maps to variable v's column over the batch, its cross ratio times
+    L_i, the lcm of block i's denominators, as ints; and () to the
+    column of ones.  scales holds each block's column of L_i."""
     p = list(zip(*batch))
     nums = [list(map(sub, p[0], q)) for q in p[1:-1]]
     columns, scales = [], []
@@ -257,25 +259,78 @@ def _compile(eq: Polynomial) -> tuple:
     return terms, scale
 
 
-def _product(idx: tuple, products: dict) -> list:
-    """Column of the product of the coordinate columns in idx, kept in
-    `products` (from _coordinate_columns) with every prefix on the way."""
-    if idx not in products:
-        products[idx] = list(map(mul, _product(idx[:-1], products),
-                                 products[idx[-1:]]))
-    return products[idx]
+def _horner(polys: Sequence[list]) -> tuple:
+    """(steps, outputs): one straight-line program for the compiled
+    polynomials `polys` (term lists from _compile).
+
+    Each polynomial is split as x*A + B on the variable x in most of its
+    terms, the smallest index on a tie, and A and B are split in turn
+    (multivariate Horner).  Every form is divided by its content, signed
+    to make its first term (the least index tuple) positive, so a form
+    and its multiples, across all the polynomials, share one column.  A
+    column is named by a key of _coordinate_columns' products ((v,) for
+    variable v, () for the ones) or by the index of the step that builds
+    it.  Step (op, a, b) is column a op column b for op in add, sub,
+    mul, and op times column a for an int op (b is None).  outputs[e]
+    names the column of polys[e]'s value."""
+    steps, index, forms = [], {}, {}
+
+    def step(op, a, b):
+        if (op, a, b) not in index:
+            index[op, a, b] = len(steps)
+            steps.append((op, a, b))
+        return index[op, a, b]
+
+    def scaled(c, a):
+        return a if c == 1 else step(c, a, None)
+
+    def column(poly):
+        # (g, the column of poly / g), poly / g built once
+        lead = min(poly)
+        g = poly[lead]
+        g //= _primitive(poly, lead)[lead]
+        key = frozenset(poly.items())
+        if key not in forms:
+            forms[key] = horner(poly)
+        return g, forms[key]
+
+    def horner(poly):
+        freq = Counter(v for idx in poly for v in set(idx))
+        if not freq:  # poly is the constant 1
+            return ()
+        x = min(freq, key=lambda v: (-freq[v], v))
+        a, b = {}, {}
+        for idx, c in poly.items():
+            if x in idx:
+                i = idx.index(x)
+                a[idx[:i] + idx[i + 1:]] = c
+            else:
+                b[idx] = c
+        ga, xa = column(a)
+        xa = (x,) if xa == () else step(mul, (x,), xa)
+        if not b:
+            return scaled(ga, xa)
+        # a positive factor first: the part holding poly's first term
+        # has one, so a homogeneous poly needs no scaling by -1
+        (g1, r1), (g2, r2) = sorted([(ga, xa), column(b)],
+                                    key=lambda part: part[0] < 0)
+        return step(add if g2 > 0 else sub, scaled(g1, r1),
+                    scaled(abs(g2), r2))
+
+    outputs = [scaled(*column({idx: c for c, idx in terms}))
+               for terms in polys]
+    return steps, outputs
 
 
-def _value_column(terms: list, products: dict) -> list:
-    """Values of compiled terms over a batch, one entry per trial; a
-    coefficient of 1 or -1 is an add or a sub."""
-    total = [0] * len(products[()])
-    for c, idx in terms:
-        col = _product(idx, products)
-        if c not in (1, -1):
-            col = map(c.__mul__, col)
-        total = list(map(sub if c == -1 else add, total, col))
-    return total
+def _run(program: tuple, products: dict) -> list:
+    """The output columns of a program from _horner over one batch's
+    products from _coordinate_columns."""
+    steps, outputs = program
+    cols = dict(products)
+    for k, (op, a, b) in enumerate(steps):
+        cols[k] = (list(map(op.__mul__, cols[a])) if b is None
+                   else list(map(op, cols[a], cols[b])))
+    return [cols[k] for k in outputs]
 
 
 _BATCH = 512  # trials per batch: one batch's columns are all that is held
@@ -308,7 +363,9 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
 
     The test runs in plain ints, a batch of trials at a time, as integer
     columns.  Each equation is compiled once to integer coefficients,
-    scaled by the lcm of its denominators; each trial scales block i's
+    scaled by the lcm of its denominators, and all of them together to
+    one Horner program (_horner) that shares their common sub-forms;
+    each batch runs every step of it once.  Each trial scales block i's
     cross ratios by L_i, the lcm of that block's denominators.  An
     equation of multidegree d is homogeneous of degree d_i in block i,
     so its integer value is its exact value times the nonzero constant
@@ -322,15 +379,15 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
         raise ValueError("need n <= 41 distinct points in [-20, 20]")
     rng = random.Random(seed)
     eqs = cubic_generators(n) + quartic_equations(n)
-    compiled = [_compile(eq)[0] for eq in eqs]
+    program = _horner([_compile(eq)[0] for eq in eqs])
     failures = []
     for start in range(0, trials, _BATCH):
         batch = [tuple(rng.sample(range(-20, 21), n))
                  for _ in range(min(_BATCH, trials - start))]
         products, _ = _coordinate_columns(batch)
         hits = sorted(
-            (t, idx) for idx, terms in enumerate(compiled)
-            for t in compress(count(), _value_column(terms, products)))
+            (t, idx) for idx, values in enumerate(_run(program, products))
+            for t in compress(count(), values))
         for t, idx in hits:
             exact = embedding_coordinates(PointConfig(batch[t]))
             failures.append((start + t, batch[t], idx,

@@ -11,6 +11,7 @@ import os
 import random
 from itertools import product
 from math import comb, prod
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,8 @@ from m0nbar.moduli import (
     _block_var,
     _compile,
     _coordinate_columns,
-    _value_column,
+    _horner,
+    _run,
 )
 from m0nbar.poly import (
     Polynomial,
@@ -366,42 +368,64 @@ def test_vanishing_draws_its_points_one_batch_at_a_time(monkeypatch):
 
 @st.composite
 def multihomogeneous_at_points(draw):
-    """A multihomogeneous polynomial with Rational coefficients over
-    moduli_ring(5) or moduli_ring(6), and a batch of one to four
-    configurations of distinct integer points."""
+    """One to four multihomogeneous polynomials with Rational
+    coefficients over moduli_ring(5) or moduli_ring(6), each of its own
+    multidegree (all zero gives a constant), the last one possibly a
+    multiple of the first; and a batch of one to four configurations of
+    distinct integer points."""
     n = draw(st.sampled_from([5, 6]))
     ring = moduli_ring(n)
-    degree = tuple(draw(st.integers(0, 2)) for _ in ring.block_sizes)
-    monos = draw(st.lists(
-        st.sampled_from(monomials_of_multidegree(ring, degree)),
-        min_size=1, max_size=5, unique=True))
     coeffs = st.builds(rat, st.integers(-9, 9).filter(bool),
                        st.integers(1, 12))
-    p = Polynomial(ring, {m: draw(coeffs) for m in monos})
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = tuple(draw(st.integers(0, 2)) for _ in ring.block_sizes)
+        monos = draw(st.lists(
+            st.sampled_from(monomials_of_multidegree(ring, degree)),
+            min_size=1, max_size=5, unique=True))
+        polys.append(Polynomial(ring, {m: draw(coeffs) for m in monos}))
+    if len(polys) > 1 and draw(st.booleans()):
+        polys[-1] = polys[0] * draw(coeffs)
     batch = draw(st.lists(
         st.lists(st.integers(-40, 40), min_size=n, max_size=n,
                  unique=True).map(tuple),
         min_size=1, max_size=4))
-    return p, batch
+    return polys, batch
 
 
 @given(multihomogeneous_at_points())
 @settings(max_examples=150)
 def test_integer_evaluation_is_scaled_exact_evaluation(case):
-    # each entry of the vanishing test's value column is the exact value
-    # at its own configuration times scale * prod_i L_i^(d_i), a
-    # positive constant
-    p, batch = case
-    terms, scale = _compile(p)
+    # each entry of a program output is its polynomial's exact value at
+    # its own configuration times scale * prod_i L_i^(d_i), a positive
+    # constant
+    polys, batch = case
+    compiled = [_compile(p) for p in polys]
     products, block_scales = _coordinate_columns(batch)
-    values = _value_column(terms, products)
-    assert len(values) == len(batch)
-    for value, points, scales in zip(values, batch, zip(*block_scales)):
-        exact = p.evaluate(embedding_coordinates(PointConfig(points)))
-        factor = scale * prod(L ** d for L, d
-                              in zip(scales, p.multidegree()))
-        assert factor > 0
-        assert value == exact * factor
+    outputs = _run(_horner([terms for terms, _ in compiled]), products)
+    assert len(outputs) == len(polys)
+    for p, (_, scale), values in zip(polys, compiled, outputs):
+        assert len(values) == len(batch)
+        for value, points, scales in zip(values, batch, zip(*block_scales)):
+            exact = p.evaluate(embedding_coordinates(PointConfig(points)))
+            factor = scale * prod(L ** d for L, d
+                                  in zip(scales, p.multidegree()))
+            assert factor > 0
+            assert value == exact * factor
+
+
+@pytest.mark.parametrize("n, term_by_term",
+                         [(5, 11), (6, 71), (7, 260), (8, 716), (9, 1651)])
+def test_horner_program_shares_its_steps(n, term_by_term):
+    # term_by_term: the column operations of evaluating each term from
+    # shared prefix products and summing the terms one at a time.  Every
+    # coefficient is 1 or -1, so no step is a scalar multiply.
+    eqs = cubic_generators(n) + quartic_equations(n)
+    steps, outputs = _horner([_compile(eq)[0] for eq in eqs])
+    assert len(outputs) == len(eqs)
+    assert len(steps) < term_by_term
+    assert len(set(steps)) == len(steps)
+    assert {op for op, _, _ in steps} <= {add, sub, mul}
 
 
 # -- quartic membership witness ---------------------------------------------
