@@ -9,7 +9,7 @@ intersection of monomial ideals.
 import random
 from itertools import permutations, product
 from math import comb
-from operator import sub
+from operator import le, sub
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +131,65 @@ def test_normal_form_divisor_order_is_deterministic():
     r2 = normal_form(f, [P(XY, "y - 2"), P(XY, "x - 1")], order)
     # both are full normal forms modulo a Groebner basis of <x-1, y-2>
     assert r1 == P(XY, "2") and r2 == P(XY, "2")
+
+
+def textbook_remainder(f, divisors, order):
+    """Division over the rationals: the largest term left, by order.key,
+    is divided by the first divisor in list order whose lead divides
+    it, and otherwise moved to the remainder."""
+    rem = {}
+    while f.terms:
+        m = max(f.terms, key=order.key)
+        c = f.terms[m]
+        for g in divisors:
+            lm = g.leading_monomial(order)
+            if all(map(le, lm, m)):
+                q = c / g.leading_coefficient(order)
+                f = f - Polynomial(f.ring, {tuple(map(sub, m, lm)): q}) * g
+                break
+        else:
+            rem[m] = c
+            f = f - Polynomial(f.ring, {m: c})
+    return Polynomial(f.ring, rem)
+
+
+def xyz_polys(max_terms, max_exp):
+    """Nonzero polynomials in x, y, z with coefficients a/b, 0 < |a| <= 5
+    and 1 <= b <= 4, so most leads are not units and most terms carry a
+    denominator."""
+    term = st.tuples(st.tuples(*[st.integers(0, max_exp)] * 3),
+                     st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    return st.lists(term, min_size=1, max_size=max_terms).map(
+        lambda ts: Polynomial(XYZ, {m: rat(a, b) for m, a, b in ts}))
+
+
+@given(st.sampled_from([grevlex_order(XYZ), lex_order(XYZ),
+                        elimination_order(XYZ, [1])]),
+       xyz_polys(6, 4), st.lists(xyz_polys(3, 2), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_normal_form_is_the_textbook_division(order, f, divisors):
+    # random divisors are rarely a Groebner basis, so the remainder
+    # depends on which term is taken first and which divisor divides it
+    assert normal_form(f, divisors, order) == \
+        textbook_remainder(f, divisors, order)
+
+
+def test_buchberger_takes_pairs_by_ascending_lcm(monkeypatch):
+    # on homogeneous input a new pair's lcm lies in a degree above the
+    # pair that made it, so the normal strategy reduces the S-pairs of a
+    # grevlex run in nondecreasing order of their packed lcms
+    import m0nbar.ideal as ideal_module
+    spoly = ideal_module._spoly
+    lcms = []
+
+    def spy(gi, gj, l, guard):
+        lcms.append(l)
+        return spoly(gi, gj, l, guard)
+
+    monkeypatch.setattr(ideal_module, "_spoly", spy)
+    I = cubic_quartic_ideal(7)
+    buchberger(I.gens, grevlex_order(I.ring))
+    assert len(lcms) > 100 and lcms == sorted(lcms)
 
 
 def test_normal_form_rejects_other_rings():
@@ -454,6 +513,23 @@ def test_saturation_by_a_zerodivisor_is_one_groebner_run():
     assert len(calls) == 1
     assert [str(g) for g in S.gens] == ["-x*y + z^2", "y^2*z", "y^3"]
     assert equal_ideals(S, oracle_saturation(I, 0))
+
+
+@pytest.mark.parametrize("var", [0, 1, 2])
+def test_saturation_divides_the_basis_in_place(var):
+    # saturate_by_block zips J.gens with the powers of v it reads off the
+    # cached basis, so J.gens[i] must be basis[i] over its largest v-power
+    I = Ideal(XYZ, [P(XYZ, "x^2*y - x*z^2"), P(XYZ, "x*y^2*z"),
+                    P(XYZ, "y^3*z - x*z^3")])
+    J = saturate_by_variable(I, var)
+    assert J is not I
+    others = [v for v in range(3) if v != var]
+    basis = I.groebner_basis(MonomialOrder(XYZ, [others + [var]]))
+    assert len(J.gens) == len(basis)
+    for g, h in zip(basis, J.gens):
+        k = min(m[var] for m in g.terms)
+        assert min(m[var] for m in h.terms) == 0
+        assert XYZ.var_by_index(var) ** k * h == g
 
 
 def test_intersection():
