@@ -17,18 +17,17 @@ restarts with fields twice as wide, so fields never wrap.  Polynomials
 outside the engine keep their exponent tuples: they are packed on entry
 and unpacked on output.
 
-The S-pair queue is one list sorted descending by (lcm total degree,
-packed lcm, i, j) and popped from its end, the normal selection
-strategy, and the Gebauer-Moller update implements Buchberger's
-coprimality and chain criteria.  When the input is n homogeneous forms
-in n variables, a degree's remaining pairs are dropped unreduced once
-the standard monomials of the leads in that degree reach e_d, the
-Hilbert function of a complete intersection of the forms' degrees, which
-no such ideal undercuts; progress counts only the reduced pairs.  Public
-Groebner bases are reduced, monic, and sorted by ascending leading
-monomial, so equal ideals yield identical bases.  Each run checks its
-generators on its packed reduced basis, and an Ideal reuses a basis
-cached under another order when no lead moves.
+The S-pair queue is one list sorted descending by (lcm total degree, packed
+lcm, i, j) and popped from its end (the normal selection strategy); the
+Gebauer-Moller update implements Buchberger's coprimality and chain
+criteria.  When the input is n homogeneous forms in n variables, a degree's
+remaining pairs are dropped unreduced once the standard monomials of the
+leads in that degree reach e_d, the Hilbert function of a complete
+intersection of the forms' degrees, which no such ideal undercuts; progress
+counts only the reduced pairs.  Public Groebner bases are reduced, monic,
+and sorted by ascending leading monomial, so equal ideals yield identical
+bases.  Each run checks its generators on its packed reduced basis, and an
+Ideal reuses a basis cached under another order when no lead moves.
 
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
 with v as the smallest variable, whose basis elements divided by their
@@ -48,6 +47,7 @@ of an initial ideal or from exact matrix ranks.
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, count
 from math import comb, gcd, prod
 from operator import add, le, lshift, mul, sub
@@ -167,26 +167,28 @@ class _Gen:
 def _reduce(num: dict, gens: Sequence[_Gen], guard: int, first: dict) -> tuple:
     """Fully reduce the integer polynomial `num` (consumed) modulo gens.
 
-    num maps packed monomials to nonzero coefficients; a term that
-    cancels is deleted.  Returns (remainder, den): remainder/den is the
-    exact rational remainder of num.  No term of the remainder is
-    divisible by any generator's leading monomial.  Deterministic: the
-    largest monomial left, max(num), is cancelled against the first
-    generator (in list order) whose lead divides it; each max scans num,
-    ~40 terms a step at n = 8 but ~400 at n = 9.  Raises _Overflow when a
-    product would leave its packed fields.
+    num maps packed monomials to coefficients.  Returns (remainder,
+    den): remainder/den is the exact rational remainder of num.  No term
+    of the remainder is divisible by any generator's leading monomial.
+    Deterministic: the largest unprocessed monomial is cancelled against
+    the first generator (in list order) whose lead divides it.  Raises
+    _Overflow when a product would leave its packed fields.
 
     first maps a monomial m to an index i such that no lead in gens[:i]
     divides m, and gens[i] is the first divisor if i < len(gens).  The
     caller may share it between calls as long as gens only grows at the
     end, as Buchberger's basis does.
     """
+    heap = [-m for m in num]
+    heapify(heap)
     n = len(gens)
     out: dict = {}
     den = 1
-    while num:
-        mono = max(num)
+    while heap:
+        mono = -heappop(heap)
         c = num.pop(mono)
+        if not c:
+            continue
         i = first.get(mono, 0)
         while i < n and (mono - gens[i].lm) & guard:
             i += 1
@@ -207,13 +209,16 @@ def _reduce(num: dict, gens: Sequence[_Gen], guard: int, first: dict) -> tuple:
         shift = mono - red.lm
         if (red.top + shift) & guard:
             raise _Overflow
+        # a cancelled term keeps its monomial (with coefficient 0) in num,
+        # so every monomial of num is on the heap exactly once
         for m, c2 in red.tail:
             m += shift
-            cur = num.get(m, 0) - cc * c2
-            if cur:
-                num[m] = cur
+            cur = num.get(m)
+            if cur is None:
+                num[m] = -cc * c2
+                heappush(heap, -m)
             else:
-                del num[m]
+                num[m] = cur - cc * c2
     return out, den
 
 
@@ -240,8 +245,7 @@ def _spoly(gi: _Gen, gj: _Gen, l: int, guard: int) -> dict:
 
 def _update(G: list, P: list, h: _Gen, packer: _Packer) -> None:
     """Gebauer-Moller pair update: append h to G, prune and extend the
-    list P of pairs (lcm total degree, packed lcm, i, j), kept sorted
-    descending so that P.pop() takes the least pair.
+    descending list P of pairs (lcm total degree, packed lcm, i, j).
 
     Prunes old pairs by the chain criterion, groups the new pairs by
     lcm, keeps only minimal lcms with one representative each, and drops
@@ -455,9 +459,8 @@ class Ideal:
 
     def with_cached_basis(self, order: MonomialOrder,
                           basis: Sequence[Polynomial]) -> "Ideal":
-        """Cache basis, which must be the reduced Groebner basis under
-        order sorted by ascending lead, as the basis under order; drop the
-        order's cached initial ideal.  Returns self."""
+        """Cache basis, the reduced Groebner basis under order sorted by
+        ascending lead, and drop the order's initial ideal; return self."""
         self._gb[order] = tuple(basis)
         self._initial.pop(order, None)
         return self
@@ -537,9 +540,8 @@ def saturate_by_variable(I: Ideal, var: str | int,
     basis stays cached on I under that order.  Returns I itself when no
     basis element is divisible by v (v is then a nonzerodivisor mod I);
     otherwise a new ideal J whose J.gens[i] is basis[i] divided by its
-    largest power of v.
-    Raises ValueError on a generator that is not homogeneous, and on a
-    var that names no variable of the ring.
+    largest power of v.  Raises ValueError on a generator that is not
+    homogeneous, and on a var that names no variable of the ring.
     """
     ring = I.ring
     idx = ring.index(var) if var in ring.names else var
