@@ -616,7 +616,8 @@ def saturate_by_block(I: Ideal, block: int,
     to attempt j + 1.  All but finitely many l avoid the associated primes
     of I : B^infinity that do not contain B, and B^M (I : B^infinity) <= I
     for one M, so some attempt succeeds; every block of
-    saturation_pipeline up to n = 8 is settled at j = 0.
+    saturation_pipeline up to n = 8 is settled at j = 0, and at n = 9
+    every block but a and b, which are settled at j = 1.
     Raises ValueError unless 0 <= block < nblocks, and RuntimeError if no
     attempt is certified, which points to a wrong Groebner basis."""
     ring = I.ring

@@ -212,56 +212,35 @@ class PointConfig:
             raise ValueError("need at least four points")
 
 
-def _cross_ratios(points: Sequence) -> list:
-    """Per block i = 1, ..., n-3, the pairs (p_1 - p_{j+2},
-    p_{i+3} - p_{j+2}), j = 0, ..., i: numerator and denominator of the
-    block's cross ratios w_j."""
-    p = points
-    return [[(p[0] - p[j + 1], p[i + 2] - p[j + 1]) for j in range(i + 1)]
-            for i in range(1, len(p) - 2)]
-
-
 def embedding_coordinates(config: PointConfig) -> list:
     """Cross-ratio coordinates of a point configuration, flattened in
     ring variable order (block 1 first)."""
-    return [num / den for block in _cross_ratios(config.points)
-            for num, den in block]
+    p = config.points
+    return [(p[0] - p[j + 1]) / (p[i + 2] - p[j + 1])
+            for i in range(1, len(p) - 2) for j in range(i + 1)]
 
 
-def _coordinate_columns(batch: Sequence[Sequence[int]]) -> tuple:
-    """(products, scales) for a batch of distinct integer point tuples.
-    products holds the leaf columns of a program from _horner: (v,)
-    maps to variable v's column over the batch, its cross ratio times
-    L_i, the lcm of block i's denominators, as ints; and () to the
-    column of ones.  scales holds each block's column of L_i."""
+def _coordinate_columns(batch: Sequence[Sequence[int]]) -> dict:
+    """The leaf columns of a program from _horner for a batch of distinct
+    integer point tuples: (v,) maps to variable v's column over the
+    batch, its cross ratio times L_i, the lcm of block i's denominators,
+    as ints; and () to the column of ones."""
     p = list(zip(*batch))
     nums = [list(map(sub, p[0], q)) for q in p[1:-1]]
-    columns, scales = [], []
+    columns = []
     for i in range(1, len(p) - 2):
         dens = [list(map(sub, p[i + 2], q)) for q in p[1:i + 2]]
         scale = list(map(lcm, *dens))
-        scales.append(scale)
         columns.extend(list(map(mul, num, map(floordiv, scale, den)))
                        for num, den in zip(nums, dens))
     products = {(v,): col for v, col in enumerate(columns)}
     products[()] = [1] * len(batch)
-    return products, scales
+    return products
 
 
-def _compile(eq: Polynomial) -> tuple:
-    """(terms, scale): eq times scale, the lcm of its coefficient
-    denominators, as (int coefficient, variable indices with repetition)
-    pairs.  Raises ValueError if eq is not multihomogeneous."""
-    eq.multidegree()
-    ints, scale = _int_form(eq.terms)
-    terms = [(c, tuple(i for i, e in enumerate(mono) for _ in range(e)))
-             for mono, c in ints.items()]
-    return terms, scale
-
-
-def _horner(polys: Sequence[list]) -> tuple:
-    """(steps, outputs): one straight-line program for the compiled
-    polynomials `polys` (term lists from _compile).
+def _horner(polys: Sequence[Polynomial]) -> tuple:
+    """(steps, outputs): one straight-line program for `polys` times the
+    lcms of their coefficient denominators.
 
     Each polynomial is split as x*A + B on the variable x in most of its
     terms, the smallest index on a tie, and A and B are split in turn
@@ -272,7 +251,8 @@ def _horner(polys: Sequence[list]) -> tuple:
     variable v, () for the ones) or by the index of the step that builds
     it.  Step (op, a, b) is column a op column b for op in add, sub,
     mul, and op times column a for an int op (b is None).  outputs[e]
-    names the column of polys[e]'s value."""
+    names the column of polys[e]'s scaled value.  Raises ValueError if a
+    polynomial is not multihomogeneous."""
     steps, index, forms = [], {}, {}
 
     def step(op, a, b):
@@ -317,8 +297,14 @@ def _horner(polys: Sequence[list]) -> tuple:
         return step(add if g2 > 0 else sub, scaled(g1, r1),
                     scaled(abs(g2), r2))
 
-    outputs = [scaled(*column({idx: c for c, idx in terms}))
-               for terms in polys]
+    def terms(p):
+        # p's terms, denominators cleared, keyed by variable indices
+        # with repetition
+        p.multidegree()
+        return {tuple(i for i, e in enumerate(mono) for _ in range(e)): c
+                for mono, c in _int_form(p.terms)[0].items()}
+
+    outputs = [scaled(*column(terms(p))) for p in polys]
     return steps, outputs
 
 
@@ -362,14 +348,14 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
     generator, so runs are reproducible.
 
     The test runs in plain ints, a batch of trials at a time, as integer
-    columns.  Each equation is compiled once to integer coefficients,
-    scaled by the lcm of its denominators, and all of them together to
-    one Horner program (_horner) that shares their common sub-forms;
-    each batch runs every step of it once.  Each trial scales block i's
-    cross ratios by L_i, the lcm of that block's denominators.  An
-    equation of multidegree d is homogeneous of degree d_i in block i,
-    so its integer value is its exact value times the nonzero constant
-    scale * prod_i L_i^(d_i): zero exactly when the exact value is zero.
+    columns.  All the equations are compiled once, each times `scale`,
+    the lcm of its coefficient denominators, into one Horner program
+    (_horner) that shares their common sub-forms; each batch runs every
+    step of it once.  Each trial scales block i's cross ratios by L_i,
+    the lcm of that block's denominators.  An equation of multidegree d
+    is homogeneous of degree d_i in block i, so its integer value is its
+    exact value times the nonzero constant scale * prod_i L_i^(d_i):
+    zero exactly when the exact value is zero.
     A nonzero value is recomputed as a Rational at that point alone for
     the report.  Raises ValueError if an equation is not multihomogeneous.
     """
@@ -379,12 +365,12 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
         raise ValueError("need n <= 41 distinct points in [-20, 20]")
     rng = random.Random(seed)
     eqs = cubic_generators(n) + quartic_equations(n)
-    program = _horner([_compile(eq)[0] for eq in eqs])
+    program = _horner(eqs)
     failures = []
     for start in range(0, trials, _BATCH):
         batch = [tuple(rng.sample(range(-20, 21), n))
                  for _ in range(min(_BATCH, trials - start))]
-        products, _ = _coordinate_columns(batch)
+        products = _coordinate_columns(batch)
         hits = sorted(
             (t, idx) for idx, values in enumerate(_run(program, products))
             for t in compress(count(), values))

@@ -292,7 +292,9 @@ class Polynomial:
         return self.terms[self.leading_monomial(order)]
 
     def multidegree(self) -> Multidegree:
-        """Common multidegree of all terms; raises if not homogeneous."""
+        """Common multidegree of all terms; raises if zero or inhomogeneous."""
+        if not self.terms:
+            raise ValueError("zero polynomial has no multidegree")
         degs = {self.ring.multidegree(m) for m in self.terms}
         if len(degs) != 1:
             raise ValueError("polynomial is not multihomogeneous")

@@ -218,6 +218,36 @@ def test_verify_exit_code_on_failing_check(capsys, monkeypatch):
     assert out.splitlines()[-1] == "result: 5/6 checks passed"
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples():
+    """{arguments: the output lines shown} for each `$ m0nbar ...` line
+    of the README that is followed by output, in README order; a line
+    "..." stands for omitted output and is skipped."""
+    examples, shown = {}, None
+    for line in README.read_text().splitlines():
+        if line.startswith("$ m0nbar "):
+            shown = examples.setdefault(line[len("$ m0nbar "):], [])
+        elif not line.strip() or line.startswith("```"):
+            shown = None
+        elif shown is not None and line != "...":
+            shown.append(line)
+    return {argv: lines for argv, lines in examples.items() if lines}
+
+
+def test_readme_examples_match_stdout(capsys):
+    # every line the README shows appears in the real stdout, in order
+    examples = readme_examples()
+    assert list(examples) == ["gen 6", "saturate 6",
+                              "verify 6 --trials 100 --seed 1", "boundary 5"]
+    for argv, shown in examples.items():
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0, argv
+        lines = iter(out.splitlines())
+        assert all(line in lines for line in shown), argv
+
+
 def test_boundary_n4(capsys):
     code, out, _ = run(capsys, "boundary", "4")
     assert code == 0

@@ -56,8 +56,12 @@ def test_multidegree():
     assert p.total_degree() == 4
     q = P(R6, "a0*b1 + b0*c1")
     assert not q.is_multihomogeneous()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not multihomogeneous"):
         q.multidegree()
+    zero = R6.zero()
+    assert zero.is_multihomogeneous()
+    with pytest.raises(ValueError, match="zero polynomial has no multidegree"):
+        zero.multidegree()
 
 
 # -- monomial orders ----------------------------------------------------
