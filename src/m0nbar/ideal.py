@@ -20,14 +20,22 @@ and unpacked on output.
 The S-pair queue is one list sorted descending by (lcm total degree, packed
 lcm, i, j) and popped from its end (the normal selection strategy); the
 Gebauer-Moller update implements Buchberger's coprimality and chain
-criteria.  When the input is n homogeneous forms in n variables, a degree's
-remaining pairs are dropped unreduced once the standard monomials of the
-leads in that degree reach e_d, the Hilbert function of a complete
-intersection of the forms' degrees, which no such ideal undercuts; progress
-counts only the reduced pairs.  Public Groebner bases are reduced, monic,
-and sorted by ascending leading monomial, so equal ideals yield identical
-bases.  Each run checks its generators on its packed reduced basis, and an
-Ideal reuses a basis cached under another order when no lead moves.
+criteria.  Homogeneous runs may drop pairs on a Hilbert count (Traverso):
+<lm G> lies in in(I), so HF_{R/<lm G>}(d) >= HF_{R/I}(d), and once a
+degree's new leads close the gap to a bound on HF_{R/I}(d), its remaining
+pairs reduce to 0 and are dropped unreduced.  The exact bound is a
+target, the total-degree K-polynomial T of R/I, which generators carry
+when they are a basis cached under another order or the Bayer-Stillman
+quotients of a block saturation: the run forms no pair if the leads of
+its reduced inputs already have K-polynomial T, and stops once they do,
+since <lm G> in in(I) with an equal Hilbert function in every degree is
+in(I).  For n forms in n variables the bound is the Hilbert function of
+a complete intersection of their degrees, which no such ideal undercuts.
+Progress counts only the reduced pairs.  Public Groebner bases are
+reduced, monic, and sorted by ascending leading monomial, so equal
+ideals yield identical bases.  Each run checks its generators on its
+packed reduced basis, and an Ideal reuses a basis cached under another
+order when no lead moves.
 
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
 with v as the smallest variable, whose basis elements divided by their
@@ -41,14 +49,15 @@ intersection is the only place that adjoins a variable: it builds the
 ring with one more variable t and eliminates t from t*I + (1-t)*J.
 Graded invariants (piece dimensions, minimal generator counts, Hilbert
 codimension and degree) come either from the multigraded K-polynomial
-of an initial ideal or from exact matrix ranks.
+of an initial ideal or from exact matrix ranks.  The K-polynomial has one
+kernel: a pivot recursion on the polarized generators as bitmasks.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, count
+from itertools import accumulate, count, product
 from math import comb, gcd, prod
 from operator import add, le, lshift, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
@@ -281,6 +290,19 @@ def _update(G: list, P: list, h: _Gen, packer: _Packer) -> None:
     G.append(h)
 
 
+class _Targeted(tuple):
+    """Generators, homogeneous in total degree, with hilbert: the
+    coefficients of the total-degree K-polynomial of R/<gens>, which
+    buchberger takes as its target.  The target travels with the
+    generators, so it passes through any wrapper of buchberger's
+    (gens, order, progress) signature."""
+
+    def __new__(cls, gens: Iterable[Polynomial], hilbert: Sequence[int]):
+        self = super().__new__(cls, gens)
+        self.hilbert = list(hilbert)
+        return self
+
+
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
                progress: Progress | None = None) -> list:
     """Reduced monic Groebner basis of the ideal generated by gens.
@@ -291,19 +313,33 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     Monomials are packed once, with their order digits over their
     exponents, in fields sized from the largest total degree of gens.
 
-    When the nonzero gens are exactly nvars forms, form i homogeneous of
-    total degree d_i >= 1, the run drops the S-pairs of lcm degree d that
-    remain once the standard monomials S_d of its leads in degree d number
-    e_d, the T^d coefficient of prod (1 + T + ... + T^(d_i - 1)).  This is
-    exact: each Macaulay rank of the forms is at most its value on the
-    open set of regular sequences (x_i^d_i is one), so dim (R/I)_d >= e_d,
-    and <lm G> in in(I) gives |S_d| >= dim (R/I)_d.  Pairs come in order
-    of lcm total degree and new pairs lie in higher degrees; a degree-d
-    nonzero remainder has its lead in S_d and lowers |S_d| by exactly one.
-    At |S_d| = e_d the leads span in(I)_d, so every remaining degree-d
-    S-polynomial, which lies in I_d, reduces to 0.  A finished degree with
-    |S_d| > e_d shows that the forms are no regular sequence, and the run
-    reduces every later pair.
+    A homogeneous run may drop S-pairs on a Hilbert count (Traverso, J.
+    Symbolic Comput. 22, 1996).  Pairs come in order of lcm total degree
+    d, and new pairs lie in higher degrees.  <lm G> lies in in(I), so
+    HF_{R/<lm G>}(d) >= HF_{R/I}(d) >= e_d for a bound e_d; once the
+    degrees below d are done, each degree-d nonzero remainder adds one
+    new lead of degree d, which lowers HF_{R/<lm G>}(d) by one.  After
+    HF_{R/<lm G>}(d) - e_d of them the leads span in(I)_d, so every
+    remaining degree-d S-polynomial, which lies in I_d, reduces to 0 and
+    its pair is dropped.  A negative count raises AssertionError.
+
+    - gens given as _Targeted(gens, hilbert), homogeneous in total degree
+      (else ValueError), carry the exact total-degree K-polynomial T of
+      R/<gens>, and e_d = HF_T(d).  The inputs are reduced first; no pair
+      is formed if the K-polynomial of their leads is T, it is recomputed
+      after each degree that gained a lead, and the run stops once it is
+      T: <lm G> lies in in(I) and has its Hilbert function in every
+      degree, so it is in(I).  A degree whose pairs all reduce short of
+      the count, or a run that ends with another K-polynomial, shows
+      that T is wrong and raises AssertionError.
+    - When the nonzero gens are exactly nvars forms, form i homogeneous
+      of total degree d_i >= 1, e_d is the T^d coefficient of
+      prod (1 + T + ... + T^(d_i - 1)), counted against the leads'
+      standard monomials of degree d.  Each Macaulay rank of the forms
+      is at most its value on the open set of regular sequences
+      (x_i^d_i is one), so dim (R/I)_d >= e_d.  A degree that ends short
+      of the count shows that the forms are no regular sequence, and the
+      run reduces every later pair.
 
     progress(S-pairs reduced, pairs queued, basis size) is called every
     100 reduced S-pairs while pairs remain queued and once at the end
@@ -317,12 +353,23 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
         raise ValueError("generators and order must share one ring")
     if not polys:
         return []
+    goal = None
+    if isinstance(gens, _Targeted):
+        if not _homogeneous(polys):
+            raise ValueError("a Hilbert target needs generators "
+                             "homogeneous in total degree")
+        goal = {d: c for d, c in enumerate(gens.hilbert) if c}
     width = _width(polys)
     while True:
         try:
-            return _buchberger(polys, _Packer(order, width), progress)
+            return _buchberger(polys, _Packer(order, width), progress, goal)
         except _Overflow:
             width *= 2
+
+
+def _homogeneous(polys: Iterable[Polynomial]) -> bool:
+    """Whether every polynomial is homogeneous in total degree."""
+    return all(len({sum(m) for m in p.terms}) <= 1 for p in polys)
 
 
 def _complete_intersection_series(polys: Sequence[Polynomial]) -> list | None:
@@ -342,49 +389,86 @@ def _complete_intersection_series(polys: Sequence[Polynomial]) -> list | None:
     return series
 
 
-def _buchberger(polys: list, packer: _Packer,
-                progress: Progress | None) -> list:
+def _gap(G: Sequence[_Gen], packer: _Packer, goal: dict) -> dict:
+    """K(R/<lm G>) - goal, total-degree K-polynomials as {d: c}."""
+    guard = packer.guard
+    minimal: list = []
+    # a divisor has smaller exponent fields than its multiples
+    for e in sorted({g.lm & packer.low for g in G}):
+        if all((e - f) & guard for f in minimal):
+            minimal.append(e)
+    K = _k_polynomial(tuple(map(packer.unpack, minimal)),
+                      (1,) * len(packer.shifts))
+    return _add_shifted(K, goal, 0, -1)
+
+
+def _buchberger(polys: list, packer: _Packer, progress: Progress | None,
+                goal: dict | None) -> list:
     guard, low = packer.guard, packer.low
     nums = [packer.poly(p)[0] for p in polys]
-    G: list = []
-    P: list = []
+    inputs: list = []
     first: dict = {}
     for num in nums:
-        r, _ = _reduce(dict(num), G, guard, first)
+        r, _ = _reduce(dict(num), inputs, guard, first)
         if r:
-            _update(G, P, packer.gen(_primitive(r, max(r))), packer)
+            inputs.append(packer.gen(_primitive(r, max(r))))
+    G: list = []
+    P: list = []
+    gap = None if goal is None else _gap(inputs, packer, goal)
+    if gap == {}:
+        G = inputs  # their leads are in(I) already
+    else:
+        for h in inputs:
+            _update(G, P, h, packer)
 
-    target = _complete_intersection_series(polys)
+    series = _complete_intersection_series(polys) if goal is None else None
+    nv = len(packer.shifts)
     units = [1 << s for s in packer.shifts]
-    S, at, e = {0}, 0, 1  # exponent fields of S_at, and e_at
+    # S: exponent fields of the leads' standard monomials of degree at,
+    # kept for series; need: the new leads degree at still lacks
+    S, at, need, gained = {0}, 0, 0, False
     done = 0
     while P:
         d, l, i, j = P.pop()
-        if target is not None and d != at:
-            if len(S) > e:
-                target = None  # no regular sequence: reduce every pair
+        if (gap or series) and d != at:
+            if need and gap:
+                raise AssertionError("the leads miss the Hilbert target")
+            if need:
+                series = None  # no regular sequence: reduce every pair
+            elif gap:
+                if gained:
+                    gap, gained = _gap(G, packer, goal), False
+                    if not gap:
+                        break
+                need = sum(c * comb(d - a + nv - 1, nv - 1)
+                           for a, c in gap.items() if a <= d)
             else:
                 leads = [g.lm & low for g in G]
                 for at in range(at + 1, d + 1):
                     S = {m for m in {s + u for s in S for u in units}
                          if all((m - f) & guard for f in leads)}
-                e = target[d] if d < len(target) else 0
-                if len(S) < e:
-                    raise AssertionError("fewer standard monomials than a "
-                                         "complete intersection has")
-        if target is not None and len(S) == e:
+                need = len(S) - (series[d] if d < len(series) else 0)
+            if need < 0:
+                raise AssertionError("fewer standard monomials than "
+                                     "the Hilbert bound allows")
+            at = d
+        if (gap or series) and not need:
             continue
         r, _ = _reduce(_spoly(G[i], G[j], l, guard), G, guard, first)
         done += 1
         if r:
             h = packer.gen(_primitive(r, max(r)))
-            if target is not None:
+            need -= 1
+            gained = True
+            if series:
                 S.remove(h.lm & low)
             _update(G, P, h, packer)
         if progress is not None and done % 100 == 0 and P:
             progress(done, len(P), len(G))
     if progress is not None:
         progress(done, 0, len(G))
+    if gap and (not gained or _gap(G, packer, goal)):
+        raise AssertionError("the leads miss the Hilbert target")
 
     rows = _reduced_basis(G, packer)
     basis = [packer.gen(r) for r in rows]
@@ -405,13 +489,16 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer) -> list:
         if all((g.lm - f.lm) & guard for f in kept):
             kept.append(g)
     # no lead divides a monomial below it, so reducing g's tail against
-    # all of kept takes the same steps as against kept without g
+    # the leads below g takes the same steps as against all of kept; that
+    # list grows at the end, as the shared first cache needs
     first: dict = {}
+    below: list = []
     out = []
     for g in kept:
-        r, den = _reduce(dict(g.tail), kept, guard, first)
+        r, den = _reduce(dict(g.tail), below, guard, first)
         r[g.lm] = g.lc * den
         out.append(_primitive(r, g.lm))
+        below.append(g)
     return out
 
 
@@ -453,9 +540,19 @@ class Ideal:
                         g.leading_monomial(order))))
                     break
             else:
-                cached = tuple(buchberger(self.gens, order, progress))
+                cached = tuple(buchberger(self._targeted(), order, progress))
             self._gb[order] = cached
         return cached
+
+    def _targeted(self) -> Sequence[Polynomial]:
+        """The generators, with the Hilbert target of a basis cached under
+        another order when they are that basis and homogeneous in total
+        degree."""
+        for other, basis in self._gb.items():
+            if basis == self.gens and _homogeneous(basis):
+                return _Targeted(self.gens, hilbert_numerator(
+                    initial_ideal(self, other)))
+        return self.gens
 
     def with_cached_basis(self, order: MonomialOrder,
                           basis: Sequence[Polynomial]) -> "Ideal":
@@ -547,7 +644,7 @@ def saturate_by_variable(I: Ideal, var: str | int,
     idx = ring.index(var) if var in ring.names else var
     if type(idx) is not int or not 0 <= idx < ring.nvars:
         raise ValueError(f"no variable {var!r} in {ring.names}")
-    if any(len({sum(m) for m in g.terms}) > 1 for g in I.gens):
+    if not _homogeneous(I.gens):
         raise ValueError("saturation by a variable needs generators "
                          "homogeneous in total degree")
     others = [i for i in range(ring.nvars) if i != idx]
@@ -643,9 +740,14 @@ def saturate_by_block(I: Ideal, block: int,
                  for v in range(start, last)
                  for g, p in zip(J.gens, powers) if p]
         if not any(r.terms for r in _remainders(tests, basis, order)):
-            back = (Ideal(ring, [_shear(g, last, y + rest) for g in J.gens])
-                    if j else J)
-            gb = back.groebner_basis(grevlex_order(ring), progress)
+            # J.gens are a Groebner basis under order, and the shear back
+            # keeps the Hilbert series
+            hilbert = hilbert_numerator(MonomialIdeal(
+                ring, [g.leading_monomial(order) for g in J.gens]))
+            back = ([_shear(g, last, y + rest) for g in J.gens]
+                    if j else J.gens)
+            gb = buchberger(_Targeted(back, hilbert), grevlex_order(ring),
+                            progress)
             return Ideal(ring, gb).with_cached_basis(grevlex_order(ring), gb)
     raise RuntimeError(f"block {block}: no saturation certified in "
                        f"{j + 1} attempts")
@@ -730,43 +832,74 @@ def _k_polynomial(gens: tuple, weights: Sequence[int]) -> dict:
     """K-polynomial {packed degree: c}, c != 0, of R/M for minimal gens,
     variable v of packed degree weights[v].  Every key is the degree of
     a divisor of lcm(gens), by induction (lcm(M + x) and x * lcm(M : x)
-    divide lcm(M)), so fields holding its total degree never carry."""
-    degrees = list(map(sum, gens))
-    if 0 in degrees:
-        return {}
-    if 1 in degrees:
+    divide lcm(M)), so fields holding its total degree never carry.
+
+    M is polarized first: x_v^e becomes x_v1 * ... * x_ve in new
+    variables of x_v's degree, and each generator one bitmask.  a divides
+    b iff a's bits lie in b's, so the masks stay minimal.  The
+    differences x_vk - x_v1 are a regular sequence on the polarized
+    quotient whose quotient is R/M, and each multiplies the Hilbert
+    series by its (1 - t^x_v) and drops one variable, so the two
+    K-polynomials agree (Herzog-Hibi, Monomial Ideals, sec. 1.6)."""
+    bits: dict = {}
+    shifts = []
+    for v, top in enumerate(map(max, zip(*gens))):
+        shifts.append(len(bits))
+        for k in range(len(bits), len(bits) + top):
+            bits[1 << k] = weights[v]
+    masks = [sum(((1 << e) - 1) << s for e, s in zip(g, shifts))
+             for g in gens]
+    return {} if 0 in masks else _k_squarefree(masks, bits)
+
+
+def _k_squarefree(gens: list, weights: dict) -> dict:
+    """_k_polynomial of the minimal squarefree monomials gens, each a
+    bitmask; weights maps each bit to its packed degree."""
+    singles = [g for g in gens if not g & (g - 1)]
+    if singles:
         # a variable x divides no other minimal generator, so for the
         # others N, R/(N + x) is R/N over one variable fewer and
         # K(N + x) = (1 - t^x) K(N)
-        result = _k_polynomial(
-            tuple(g for g, d in zip(gens, degrees) if d > 1), weights)
-        for g, d in zip(gens, degrees):
-            if d == 1:
-                result = _add_shifted(result, result, weights[g.index(1)], -1)
+        result = _k_squarefree([g for g in gens if g & (g - 1)], weights)
+        for g in singles:
+            result = _add_shifted(result, result, weights[g], -1)
         return result
-    occ = [len(gens) - col.count(0) for col in zip(*gens)]
-    if not occ or max(occ) < 2:
+    union = overlap = 0
+    for g in gens:
+        overlap |= union & g
+        union |= g
+    if not overlap:
         # pairwise disjoint supports: K = prod (1 - t^deg g)
         result = {0: 1}
         for g in gens:
-            a = sum(map(mul, g, weights))
+            a = 0
+            while g:
+                low = g & -g
+                a += weights[low]
+                g ^= low
             result = _add_shifted(result, result, a, -1)
         return result
     # K(M) = K(M + x) + t^deg x * K(M : x) for the most frequent variable
     # x, with K(M + x) = (1 - t^x) K(gens without x).  The g/x are as
-    # mutually indivisible as the g, no h without x divides a g/x (it
-    # would divide g), and a g/x divides such an h only if x^2 does not
-    # divide g, so M : x is minimal once the h those g/x divide are gone
-    x = occ.index(max(occ))
+    # mutually indivisible as the g and no h without x divides one (it
+    # would divide g), so M : x is minimal once the h they divide are gone
+    counts: dict = {}
+    for g in gens:
+        g &= overlap
+        while g:
+            low = g & -g
+            counts[low] = counts.get(low, 0) + 1
+            g ^= low
+    x = max(counts, key=counts.get)
     w = weights[x]
-    rest = tuple(g for g in gens if not g[x])
-    quotients = [g[:x] + (g[x] - 1,) + g[x + 1:] for g in gens if g[x]]
-    free = [q for q in quotients if not q[x]]
-    colon = (*quotients, *[h for h in rest if not any(
-        all(map(le, q, h)) for q in free)])
-    result = _k_polynomial(rest, weights)
+    rest = [g for g in gens if not g & x]
+    colon = rest
+    quotients = [g ^ x for g in gens if g & x]
+    for q in quotients:
+        colon = [h for h in colon if h & q != q]
+    result = _k_squarefree(rest, weights)
     return _add_shifted(_add_shifted(result, result, w, -1),
-                        _k_polynomial(colon, weights), w, 1)
+                        _k_squarefree(quotients + colon, weights), w, 1)
 
 
 def hilbert_numerator(M: MonomialIdeal) -> list:
@@ -800,18 +933,20 @@ def hilbert_degree(I: Ideal) -> tuple:
 
 def _count_in(M: MonomialIdeal, D: tuple) -> int:
     """Number of monomials of multidegree D inside M: dim R_D minus
-    dim (R/M)_D = sum c * dim R_(D-a) over M's K-polynomial terms c*t^a,
-    where dim R_E = 0 unless E >= 0."""
+    dim (R/M)_D = sum c * dim R_(D-a) over M's K-polynomial terms c*t^a
+    with a <= D, read off the box of those a."""
     sizes = M.ring.block_sizes
     if len(D) != len(sizes):
         raise ValueError("degree vector length does not match block count")
     if any(d < 0 for d in D):
         return 0
+    K = M._numerator
     out = prod(comb(d + n - 1, n - 1) for d, n in zip(D, sizes))
-    for a, c in M._numerator.items():
-        E = tuple(map(sub, D, a))
-        if min(E) >= 0:
-            out -= c * prod(comb(e + n - 1, n - 1) for e, n in zip(E, sizes))
+    for a in product(*(range(d + 1) for d in D)):
+        c = K.get(a)
+        if c:
+            out -= c * prod(comb(d - e + n - 1, n - 1)
+                            for d, e, n in zip(D, a, sizes))
     return out
 
 

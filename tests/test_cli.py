@@ -20,11 +20,15 @@ SATURATE_7_SHA256 = (
     "80ba43a1e51d6f6d4ef4578a40e654aae34d338df2c9fed8a3ae7a3c639e4953")
 SATURATE_6_GREVLEX_SHA256 = (
     "903683d866ac6b8e7c15ee917d1bb8238dfdff41f92dab4cc50d17be95a673e4")
-# the 7 progress lines of saturate 7 on stderr, from the pipeline that
+# the 6 progress lines of saturate 7 on stderr, from the pipeline that
 # starts at the cubics and the quartics and saturates each block by its
-# bare last variable first; their queued counts must be live pairs only
+# bare last variable first; their queued counts must be live pairs only.
+# Block b's back run ends "S-pairs: 0 processed, 0 queued, basis size
+# 35": without its Hilbert target it reduced 160 S-pairs, all to zero,
+# and kept its 35 inputs, so their leads already span the initial ideal
+# and their K-polynomial meets the target before any pair is formed
 SATURATE_7_PROGRESS_SHA256 = (
-    "18bbf94ab85fcf9c221644bf7ebf63c197a3617e8f777b2f0510fc1ce9cdee02")
+    "f774654f30606a256234b13c66e4685d377143f139ada69e9ad22f7b2e37d5f3")
 # sha256 of the full stdout of two verify runs: a change to the vanishing
 # test must keep the printed checks and counts byte for byte
 VERIFY_7_SHA256 = (
@@ -278,11 +282,11 @@ def test_saturate_n7_reports_progress(capsys):
     assert "lex initial ideal square-free: yes" in lines
     assert sha256(out) == SATURATE_7_SHA256
     progress = [l for l in err.splitlines() if l.startswith("S-pairs:")]
-    assert len(progress) == 7
+    assert len(progress) == 6
     # each of the 3 Groebner runs reports its end once: one each for
     # blocks a and b, and block b's reduced grevlex basis after its
-    # certificate; block b's result carries that basis, whose leads
-    # block c's order keeps, and block d's order is grevlex itself, so
-    # both read it and run nothing
+    # certificate, which forms no pair; block b's result carries that
+    # basis, whose leads block c's order keeps, and block d's order is
+    # grevlex itself, so both read it and run nothing
     assert sum(", 0 queued" in l for l in progress) == 3
     assert sha256("\n".join(progress)) == SATURATE_7_PROGRESS_SHA256

@@ -36,7 +36,14 @@ from m0nbar.ideal import (
     saturate_by_variable,
     spolynomial,
 )
-from m0nbar.ideal import _Overflow, _Packer, _count_in, _macaulay_rows
+from m0nbar.ideal import (
+    _k_polynomial,
+    _macaulay_rows,
+    _Overflow,
+    _Packer,
+    _count_in,
+    _Targeted,
+)
 from m0nbar.moduli import saturation_pipeline
 from m0nbar.poly import (
     MonomialOrder,
@@ -53,6 +60,7 @@ from m0nbar.poly import (
 XY = polynomial_ring(["x", "y"])
 XYZ = polynomial_ring(["x", "y", "z"])
 R5 = moduli_ring(5)
+R6 = moduli_ring(6)
 ABEQ = "a0*b0*b1 - a1*b0*b1 + a1*b0*b2 - a0*b1*b2"
 
 
@@ -371,6 +379,93 @@ def test_groebner_basis_runs_when_one_lead_moves(monkeypatch):
     assert [str(g) for g in lex] == ["y*z + z^2", "x*z^2 - z^2", "x*y - y"]
     assert list(lex) == buchberger(I.gens, lex_order(XYZ))
     assert runs == []
+
+
+def spy_on_targets(monkeypatch):
+    """Log (gens, order) of every run of m0nbar.ideal.buchberger whose
+    generators carry a Hilbert target, and run it; returns the log."""
+    import m0nbar.ideal as ideal_module
+    run = ideal_module.buchberger
+    targeted = []
+
+    def spy(gens, order, progress=None):
+        if isinstance(gens, _Targeted):
+            targeted.append((gens, order))
+        return run(gens, order, progress)
+
+    monkeypatch.setattr(ideal_module, "buchberger", spy)
+    return targeted
+
+
+def test_groebner_basis_passes_no_target_for_inhomogeneous_gens(monkeypatch):
+    # x*y - y and y*z + z^2 are their own basis under z > (x, y), which a
+    # grevlex run would otherwise take its target from
+    I = Ideal(XYZ, [P(XYZ, "x*y - y"), P(XYZ, "y*z + z^2")])
+    first = MonomialOrder(XYZ, [[2], [0, 1]])
+    assert I.groebner_basis(first) == I.gens
+    targeted = spy_on_targets(monkeypatch)
+    I.groebner_basis(grevlex_order(XYZ))
+    assert targeted == []
+    with pytest.raises(ValueError, match="homogeneous"):
+        buchberger(_Targeted(I.gens, [1]), grevlex_order(XYZ))
+
+
+def test_targeted_runs_match_plain_runs_on_random_ideals(monkeypatch):
+    # an ideal whose generators are its basis cached under one order is
+    # asked for another; with homogeneous generators the run takes that
+    # basis's Hilbert target, and returns the plain run's basis
+    rng = random.Random(20261020)
+    targeted = spy_on_targets(monkeypatch)
+    for _ in range(40):
+        gens = [random_poly(rng, XYZ, rng.randint(1, 3), True)
+                for _ in range(rng.randint(1, 4))]
+        fresh = {order: buchberger(gens, order) for order in XYZ_ORDERS}
+        for first, second in permutations(XYZ_ORDERS, 2):
+            I = Ideal(XYZ, fresh[first]).with_cached_basis(first,
+                                                            fresh[first])
+            assert list(I.groebner_basis(second)) == fresh[second]
+    # every pair of orders that moves a lead runs, with a target
+    assert len(targeted) == 352
+    for gens, order in targeted:
+        assert buchberger(gens, order) == buchberger(tuple(gens), order)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_targeted_runs_match_plain_runs_in_the_pipeline(monkeypatch, n):
+    # the back runs of saturate_by_block and the lex basis that saturate
+    # prints, on both routes, each with and without its target
+    targeted = spy_on_targets(monkeypatch)
+    for route in (saturation_pipeline, cubic_route):
+        I = route(n)
+        I.groebner_basis(lex_order(I.ring))
+    # one back run per block that divides (block b of the cubic route at
+    # n = 6; blocks a and b of the cubic route and block b of the
+    # pipeline at n = 7), and the lex run of each result that carries
+    # its back run's grevlex basis
+    assert len(targeted) == {5: 0, 6: 2, 7: 5}[n]
+    for gens, order in targeted:
+        assert buchberger(gens, order) == buchberger(tuple(gens), order)
+
+
+def test_a_target_off_by_one_coefficient_fails():
+    # the grevlex basis of the saturated n = 6 ideal and one random
+    # ideal, each run under lex against its grevlex K-polynomial with
+    # one coefficient moved by 1, also past its last nonzero one
+    rng = random.Random(7)
+    cases = [(saturation_pipeline(6).groebner_basis(), lex_order(R6))]
+    gens = [random_poly(rng, XYZ, 2, True) for _ in range(2)]
+    cases.append((buchberger(gens, grevlex_order(XYZ)), lex_order(XYZ)))
+    for basis, order in cases:
+        ring = order.ring
+        K = hilbert_numerator(initial_ideal(Ideal(ring, basis)))
+        assert buchberger(_Targeted(basis, K), order) == buchberger(basis,
+                                                                     order)
+        for d in range(len(K) + 2):
+            for sign in (1, -1):
+                wrong = K + [0] * (d + 1 - len(K))
+                wrong[d] += sign
+                with pytest.raises(AssertionError):
+                    buchberger(_Targeted(basis, wrong), order)
 
 
 def test_generator_check_catches_a_dropped_basis_element(monkeypatch):
@@ -752,10 +847,13 @@ def test_saturation_pipeline_progress_n6():
     # from the cubics alone, block a stops after one run; block b takes
     # one run for its last variable and one for the reduced grevlex basis
     # of the certified saturation, which adds the quartic; block c's
-    # order is grevlex itself, so it reads that basis and runs nothing
+    # order is grevlex itself, so it reads that basis and runs nothing.
+    # Without its Hilbert target that last run reduced 11 S-pairs, all to
+    # zero, and kept its 7 inputs: their leads span the initial ideal, so
+    # their K-polynomial meets the target and no pair is formed
     calls = []
     cubic_route(6, lambda *args: calls.append(args))
-    assert calls == [(23, 0, 10), (23, 0, 10), (11, 0, 7)]
+    assert calls == [(23, 0, 10), (23, 0, 10), (0, 0, 7)]
 
 
 def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
@@ -955,6 +1053,85 @@ def test_hilbert_numerator_counts_standard_monomials():
             inside = sum(map(M.contains, monomials_of_multidegree(ring, D)))
             assert _count_in(M, D) == inside, (M, D)
             assert graded_piece_dim(I, D, "standard") == inside, (M, D)
+
+
+def add_shifted(K, L, a, sign):
+    """K + sign * t^a * L, with no zero coefficient."""
+    out = dict(K)
+    for k, c in L.items():
+        c = out.get(k + a, 0) + sign * c
+        if c:
+            out[k + a] = c
+        else:
+            out.pop(k + a)
+    return out
+
+
+def k_polynomial_oracle(gens, weights):
+    """The K-polynomial of R/M for minimal exponent tuples gens, by the
+    pivot recursion on the tuples themselves: K(M) = (1 - t^x) K(gens
+    without x) + t^x K(M : x) for the most frequent variable x, with a
+    variable generator factored out and disjoint supports multiplied."""
+    degrees = list(map(sum, gens))
+    if 0 in degrees:
+        return {}
+    if 1 in degrees:
+        result = k_polynomial_oracle(
+            tuple(g for g, d in zip(gens, degrees) if d > 1), weights)
+        for g, d in zip(gens, degrees):
+            if d == 1:
+                result = add_shifted(result, result, weights[g.index(1)], -1)
+        return result
+    occ = [len(gens) - col.count(0) for col in zip(*gens)]
+    if not occ or max(occ) < 2:
+        result = {0: 1}
+        for g in gens:
+            a = sum(e * w for e, w in zip(g, weights))
+            result = add_shifted(result, result, a, -1)
+        return result
+    x = occ.index(max(occ))
+    w = weights[x]
+    rest = tuple(g for g in gens if not g[x])
+    quotients = [g[:x] + (g[x] - 1,) + g[x + 1:] for g in gens if g[x]]
+    free = [q for q in quotients if not q[x]]
+    colon = (*quotients, *[h for h in rest if not any(
+        all(map(le, q, h)) for q in free)])
+    result = k_polynomial_oracle(rest, weights)
+    return add_shifted(add_shifted(result, result, w, -1),
+                       k_polynomial_oracle(colon, weights), w, 1)
+
+
+@st.composite
+def monomial_ideals(draw):
+    """(minimal gens, weights): up to 8 monomials in 1-5 variables with
+    exponents up to 3, each variable weighted by its block's 8-bit field
+    as MonomialIdeal._numerator packs them, in 1-3 random blocks."""
+    k = draw(st.integers(1, 5))
+    blocks = sorted(draw(st.lists(st.integers(0, 2), min_size=k,
+                                  max_size=k)))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * k), max_size=8))
+    ring = polynomial_ring([f"x{i}" for i in range(k)])
+    return MonomialIdeal(ring, monos).gens, [1 << 8 * b for b in blocks]
+
+
+@given(monomial_ideals())
+@settings(max_examples=300, deadline=None)
+def test_k_polynomial_matches_the_tuple_recursion(ideal):
+    gens, weights = ideal
+    assert _k_polynomial(gens, weights) == k_polynomial_oracle(gens, weights)
+
+
+def test_k_polynomial_of_the_pipeline_matches_the_tuple_recursion():
+    # the real initial ideals, whose polarization has 20-30 bits, under
+    # the total degree and the block grading
+    I = saturation_pipeline(7)
+    for order in (grevlex_order(I.ring), lex_order(I.ring)):
+        gens = initial_ideal(I, order).gens
+        for weights in ([1] * I.ring.nvars,
+                        [1 << 8 * b for b, n in enumerate(I.ring.block_sizes)
+                         for _ in range(n)]):
+            assert (_k_polynomial(gens, weights)
+                    == k_polynomial_oracle(gens, weights))
 
 
 def test_piece_dims_outside_the_grading():
