@@ -24,9 +24,9 @@ criteria.  Homogeneous runs may drop pairs on a Hilbert count (Traverso):
 <lm G> lies in in(I), so HF_{R/<lm G>}(d) >= HF_{R/I}(d), and once a
 degree's new leads close the gap to a bound on HF_{R/I}(d), its remaining
 pairs reduce to 0 and are dropped unreduced.  The exact bound is a
-target, the total-degree K-polynomial T of R/I, which generators carry
-when they are a basis cached under another order or the Bayer-Stillman
-quotients of a block saturation: the run forms no pair if the leads of
+target, the total-degree K-polynomial T of R/I, which Ideal.groebner_basis
+gives every run whose ideal has a basis cached or was handed its
+K-polynomial by a block saturation: the run forms no pair if the leads of
 its reduced inputs already have K-polynomial T, and stops once they do,
 since <lm G> in in(I) with an equal Hilbert function in every degree is
 in(I).  For n forms in n variables the bound is the Hilbert function of
@@ -48,8 +48,8 @@ failed certificate retries with the next of the fixed sequence.  Ideal
 intersection is the only place that adjoins a variable: it builds the
 ring with one more variable t and eliminates t from t*I + (1-t)*J.
 Graded invariants (piece dimensions, minimal generator counts, Hilbert
-codimension and degree) come either from the multigraded K-polynomial
-of an initial ideal or from exact matrix ranks.  The K-polynomial has one
+codimension and degree) come either from the ideal's one multigraded
+K-polynomial or from exact matrix ranks.  The K-polynomial has one
 kernel: a pivot recursion on the polarized generators as bitmasks.
 """
 
@@ -323,8 +323,8 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
     remaining degree-d S-polynomial, which lies in I_d, reduces to 0 and
     its pair is dropped.  A negative count raises AssertionError.
 
-    - gens given as _Targeted(gens, hilbert), homogeneous in total degree
-      (else ValueError), carry the exact total-degree K-polynomial T of
+    - _Targeted gens, homogeneous in total degree (else ValueError),
+      carry as hilbert the exact total-degree K-polynomial T of
       R/<gens>, and e_d = HF_T(d).  The inputs are reduced first; no pair
       is formed if the K-polynomial of their leads is T, it is recomputed
       after each degree that gained a lead, and the run stops once it is
@@ -506,8 +506,12 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer) -> list:
 
 
 class Ideal:
-    """An ideal given by generators, with cached Groebner bases and
-    initial ideals, each keyed by its order."""
+    """An ideal given by generators, with its reduced Groebner bases
+    cached by order and one multigraded K-polynomial _numerator, set once:
+    saturate_by_block hands it over, or it is read off in(I) under the
+    first cached order, or grevlex when the generators are inhomogeneous.
+    Homogeneous (multihomogeneous) I have one total-degree (multigraded)
+    Hilbert series under every order and every shear of a block."""
 
     def __init__(self, ring: RingSpec, gens: Iterable[Polynomial]) -> None:
         self.ring = ring
@@ -516,7 +520,12 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self._gb: dict = {}
-        self._initial: dict = {}
+
+    @cached_property
+    def _numerator(self) -> dict:
+        """{multidegree a: c}, the K-polynomial of R/I = that of R/in(I)."""
+        order = next(iter(self._gb), None) if _homogeneous(self.gens) else None
+        return initial_ideal(self, order)._numerator
 
     def groebner_basis(self, order: MonomialOrder | None = None,
                        progress: Progress | None = None) -> tuple:
@@ -526,7 +535,8 @@ class Ideal:
         those leads, with no run and no progress.  Proof: f in I divided
         by G under order leaves a remainder in I with no term in <lm G> =
         in_other(I), so 0; every tail term is standard, so G is reduced.
-        Homogeneity is not needed."""
+        Homogeneity is not needed.  Otherwise a run computes it, targeted
+        if the generators are homogeneous and K needs no run to read."""
         if order is None:
             order = grevlex_order(self.ring)
         if order.ring != self.ring:
@@ -540,26 +550,18 @@ class Ideal:
                         g.leading_monomial(order))))
                     break
             else:
-                cached = tuple(buchberger(self._targeted(), order, progress))
+                gens = self.gens
+                if _homogeneous(gens) and (self._gb
+                                           or "_numerator" in vars(self)):
+                    gens = _Targeted(gens, hilbert_numerator(self))
+                cached = tuple(buchberger(gens, order, progress))
             self._gb[order] = cached
         return cached
 
-    def _targeted(self) -> Sequence[Polynomial]:
-        """The generators, with the Hilbert target of a basis cached under
-        another order when they are that basis and homogeneous in total
-        degree."""
-        for other, basis in self._gb.items():
-            if basis == self.gens and _homogeneous(basis):
-                return _Targeted(self.gens, hilbert_numerator(
-                    initial_ideal(self, other)))
-        return self.gens
-
     def with_cached_basis(self, order: MonomialOrder,
                           basis: Sequence[Polynomial]) -> "Ideal":
-        """Cache basis, the reduced Groebner basis under order sorted by
-        ascending lead, and drop the order's initial ideal; return self."""
+        """Cache basis, the reduced basis under order sorted by lead."""
         self._gb[order] = tuple(basis)
-        self._initial.pop(order, None)
         return self
 
     def __repr__(self) -> str:
@@ -728,8 +730,10 @@ def saturate_by_block(I: Ideal, block: int,
     for j in range(10):
         rest = sum((j ** (last - v) * ring.var_by_index(v)
                     for v in range(start, last)), ring.zero())
-        sheared = (Ideal(ring, [_shear(g, last, y - rest) for g in I.gens])
-                   if j else I)
+        sheared = I
+        if j:
+            sheared = Ideal(ring, [_shear(g, last, y - rest) for g in I.gens])
+            sheared._numerator = I._numerator  # a shear keeps the series
         J = saturate_by_variable(sheared, last, progress)
         if J is sheared:
             return I
@@ -742,13 +746,14 @@ def saturate_by_block(I: Ideal, block: int,
         if not any(r.terms for r in _remainders(tests, basis, order)):
             # J.gens are a Groebner basis under order, and the shear back
             # keeps the Hilbert series
-            hilbert = hilbert_numerator(MonomialIdeal(
-                ring, [g.leading_monomial(order) for g in J.gens]))
-            back = ([_shear(g, last, y + rest) for g in J.gens]
-                    if j else J.gens)
-            gb = buchberger(_Targeted(back, hilbert), grevlex_order(ring),
-                            progress)
-            return Ideal(ring, gb).with_cached_basis(grevlex_order(ring), gb)
+            back = Ideal(ring, [_shear(g, last, y + rest) for g in J.gens]
+                         if j else J.gens)
+            back._numerator = MonomialIdeal(
+                ring, [g.leading_monomial(order) for g in J.gens])._numerator
+            gb = back.groebner_basis(grevlex_order(ring), progress)
+            out = Ideal(ring, gb).with_cached_basis(grevlex_order(ring), gb)
+            out._numerator = back._numerator
+            return out
     raise RuntimeError(f"block {block}: no saturation certified in "
                        f"{j + 1} attempts")
 
@@ -805,14 +810,10 @@ class MonomialIdeal:
 
 
 def initial_ideal(I: Ideal, order: MonomialOrder | None = None) -> MonomialIdeal:
-    """Ideal of leading monomials of a Groebner basis, cached on I."""
+    """Ideal of the leads of I's Groebner basis under order (grevlex)."""
     order = order or grevlex_order(I.ring)
-    M = I._initial.get(order)
-    if M is None:
-        gb = I.groebner_basis(order)
-        M = I._initial[order] = MonomialIdeal(
-            I.ring, [g.leading_monomial(order) for g in gb])
-    return M
+    return MonomialIdeal(I.ring, [g.leading_monomial(order)
+                                  for g in I.groebner_basis(order)])
 
 
 def _add_shifted(K: dict, L: dict, a: int, sign: int) -> dict:
@@ -902,10 +903,10 @@ def _k_squarefree(gens: list, weights: dict) -> dict:
                         _k_squarefree(quotients + colon, weights), w, 1)
 
 
-def hilbert_numerator(M: MonomialIdeal) -> list:
+def hilbert_numerator(M: MonomialIdeal | Ideal) -> list:
     """Coefficients of N(T) with H_{R/M}(T) = N(T)/(1-T)^nvars under the
     flattened grading (every variable has degree 1), up to the last
-    nonzero one; [0] for the unit ideal."""
+    nonzero one, from M's K-polynomial; [0] for the unit ideal."""
     N = [0] * (1 + max(map(sum, M._numerator), default=0))
     for a, c in M._numerator.items():
         N[sum(a)] += c
@@ -917,12 +918,12 @@ def hilbert_numerator(M: MonomialIdeal) -> list:
 def hilbert_degree(I: Ideal) -> tuple:
     """(codimension, degree) of R/I under the flattened total grading.
 
-    Computed from the grevlex initial ideal: the Hilbert series numerator
+    Computed from the K-polynomial of I: the Hilbert series numerator
     N(T) = sum a_i T^i is (1-T)^c Q(T) with c the codimension and Q(1)
     the degree.  Its c-th Taylor coefficient at T = 1, the moment
     sum a_i * binomial(i, c), is (-1)^c Q(1), and every lower one is 0.
     """
-    N = hilbert_numerator(initial_ideal(I))
+    N = hilbert_numerator(I)
     if not any(N):
         raise ValueError("unit ideal has no degree")
     for c in count():
@@ -931,10 +932,10 @@ def hilbert_degree(I: Ideal) -> tuple:
             return c, (-1) ** c * moment
 
 
-def _count_in(M: MonomialIdeal, D: tuple) -> int:
-    """Number of monomials of multidegree D inside M: dim R_D minus
-    dim (R/M)_D = sum c * dim R_(D-a) over M's K-polynomial terms c*t^a
-    with a <= D, read off the box of those a."""
+def _count_in(M: MonomialIdeal | Ideal, D: tuple) -> int:
+    """Number of monomials of multidegree D inside M, or inside in(M) for
+    an Ideal: dim R_D minus dim (R/M)_D = sum c * dim R_(D-a) over M's
+    K-polynomial terms c*t^a with a <= D, read off the box of those a."""
     sizes = M.ring.block_sizes
     if len(D) != len(sizes):
         raise ValueError("degree vector length does not match block count")
@@ -993,7 +994,7 @@ def graded_piece_dim(I: Ideal, degree: Sequence[int],
     """Dimension of the ideal's graded piece in one multidegree.
 
     method "standard": count monomials of that multidegree inside the
-    initial ideal (any Groebner basis order gives the same answer).
+    initial ideal, from the ideal's one K-polynomial.
     method "rank": rank of the coefficient matrix of all products
     monomial * generator landing in that degree; works straight from
     the given generators, no Groebner basis involved.
@@ -1002,7 +1003,7 @@ def graded_piece_dim(I: Ideal, degree: Sequence[int],
     if method == "standard":
         if not all(g.is_multihomogeneous() for g in I.gens):
             raise ValueError("polynomial is not multihomogeneous")
-        return _count_in(initial_ideal(I), degree)
+        return _count_in(I, degree)
     if method != "rank":
         raise ValueError(f"unknown method {method!r}")
     rows, = _macaulay_rows(I.gens, I.ring, [degree], skip_unit=False)
@@ -1016,16 +1017,15 @@ def min_gens_by_total_degree(I: Ideal) -> dict:
     dim (I/mI)_D, with m the ideal of the variables, and the images of
     the given generators span I/mI, so (I/mI)_D is 0 unless a generator
     has multidegree D.  Only those multidegrees are counted, each as
-    dim I_D, from the initial ideal, minus the dimension of (mI)_D, the
+    dim I_D, from the K-polynomial, minus the dimension of (mI)_D, the
     span of all products (monomial != 1) * (generator) landing in D.
     Raises ValueError if a generator is not multihomogeneous.
     """
     degrees = sorted({p.multidegree() for p in I.gens if p.terms})
-    M = initial_ideal(I)
     out: dict = {}
     for D, rows in zip(degrees,
                        _macaulay_rows(I.gens, I.ring, degrees, skip_unit=True)):
-        count = _count_in(M, D) - matrix_rank(rows)
+        count = _count_in(I, D) - matrix_rank(rows)
         if count:
             td = sum(D)
             out[td] = out.get(td, 0) + count

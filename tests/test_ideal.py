@@ -432,17 +432,19 @@ def test_targeted_runs_match_plain_runs_on_random_ideals(monkeypatch):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_targeted_runs_match_plain_runs_in_the_pipeline(monkeypatch, n):
-    # the back runs of saturate_by_block and the lex basis that saturate
+    # the runs of saturate_by_block and the lex basis that saturate
     # prints, on both routes, each with and without its target
     targeted = spy_on_targets(monkeypatch)
     for route in (saturation_pipeline, cubic_route):
         I = route(n)
         I.groebner_basis(lex_order(I.ring))
-    # one back run per block that divides (block b of the cubic route at
-    # n = 6; blocks a and b of the cubic route and block b of the
-    # pipeline at n = 7), and the lex run of each result that carries
-    # its back run's grevlex basis
-    assert len(targeted) == {5: 0, 6: 2, 7: 5}[n]
+    # every run but each route's first: block a runs on generators
+    # alone, and every later run's ideal has a basis cached or was handed
+    # its K-polynomial.  The pipeline runs blocks a and b at n = 6, and at
+    # n = 7 also block b's back run and the lex basis; the cubic route
+    # runs blocks a and b, block b's back run and the lex basis at n = 6,
+    # and at n = 7 also block c's back run (block c reuses a basis)
+    assert len(targeted) == {5: 0, 6: 4, 7: 7}[n]
     for gens, order in targeted:
         assert buchberger(gens, order) == buchberger(tuple(gens), order)
 
@@ -485,17 +487,35 @@ def test_generator_check_catches_a_dropped_basis_element(monkeypatch):
         buchberger(gens, lex_order(XY))
 
 
-def test_initial_ideal_cache():
-    I = Ideal(XY, [P(XY, "x*y - 1"), P(XY, "y^2 - 1")])
-    order = lex_order(XY)
-    M = initial_ideal(I, order)
-    assert initial_ideal(I, order) is M
-    assert initial_ideal(I) is not M
-    # a basis cached anew drops that order's initial ideal, which is
-    # rebuilt from it
-    I.with_cached_basis(order, I.groebner_basis(order))
-    assert initial_ideal(I, order) is not M
-    assert initial_ideal(I, order) == M == MonomialIdeal(XY, [(1, 0), (0, 2)])
+def test_an_ideal_reads_one_k_polynomial_off_its_first_cached_basis(
+        monkeypatch):
+    # R/I has one Hilbert series under every order, so whichever order
+    # the first cached basis has, the K-polynomial read off its initial
+    # ideal, with no run, gives the grevlex numerator, and only once
+    rng = random.Random(20261021)
+    runs = spy_on_runs(monkeypatch)
+    for _ in range(20):
+        gens = [random_poly(rng, XYZ, rng.randint(1, 3), True)
+                for _ in range(rng.randint(1, 3))]
+        want = hilbert_numerator(initial_ideal(Ideal(XYZ, gens)))
+        for order in XYZ_ORDERS:
+            I = Ideal(XYZ, gens).with_cached_basis(order,
+                                                   buchberger(gens, order))
+            runs.clear()
+            assert hilbert_numerator(I) == want
+            assert runs == []
+            assert I._numerator is I._numerator
+
+
+def test_inhomogeneous_generators_read_k_off_the_grevlex_basis():
+    # x - y^2 has the lex initial ideal <x>, whose series would give
+    # (1, 1); the grevlex one, <y^2>, gives the degree 2 of the affine
+    # curve x = y^2
+    I = Ideal(XY, [P(XY, "x - y^2")])
+    I.groebner_basis(lex_order(XY))
+    assert hilbert_numerator(initial_ideal(I, lex_order(XY))) == [1, -1]
+    assert hilbert_degree(I) == (1, 2)
+    assert list(I._gb) == [lex_order(XY), grevlex_order(XY)]
 
 
 def test_invariants_build_the_initial_ideal_once(monkeypatch):
@@ -519,7 +539,7 @@ def test_invariants_build_the_initial_ideal_once(monkeypatch):
 def test_invariants_run_the_k_polynomial_recursion_once(monkeypatch, capsys):
     import m0nbar.ideal as ideal_module
     from m0nbar.cli import main
-    real = ideal_module._k_polynomial
+    real, gap = ideal_module._k_polynomial, ideal_module._gap
     top, depth = [], []
 
     def spy(gens, weights):
@@ -531,14 +551,24 @@ def test_invariants_run_the_k_polynomial_recursion_once(monkeypatch, capsys):
         finally:
             depth.pop()
 
+    def gap_spy(*args):
+        # the K of the leads inside a targeted run is the engine's own
+        depth.append(None)
+        try:
+            return gap(*args)
+        finally:
+            depth.pop()
+
     monkeypatch.setattr(ideal_module, "_k_polynomial", spy)
+    monkeypatch.setattr(ideal_module, "_gap", gap_spy)
     I = cubic_quartic_ideal(6)
     min_gens_by_total_degree(I)
     hilbert_degree(I)
     graded_piece_dim(I, (1, 1, 2), method="standard")
     assert top == [initial_ideal(I).gens]
-    # saturate reads its invariants from the grevlex initial ideal; the
-    # lex initial ideal it checks for square-freeness computes no series
+    # saturate reads its invariants, and block b's run its target, from
+    # the one K of the ideal that block a returns unchanged; the lex
+    # initial ideal it checks for square-freeness computes no series
     top.clear()
     assert main(["saturate", "6"]) == 0
     capsys.readouterr()
@@ -809,6 +839,25 @@ def test_saturate_by_block_certifies_every_block_variable():
     assert runs == 2
 
 
+def test_saturate_by_block_gives_every_run_after_the_first_a_target(
+        monkeypatch):
+    # the shear of the second attempt keeps the Hilbert series, so its
+    # run takes the K-polynomial of I = <x1*z, x0^5*z>, read off the
+    # first attempt's basis: 1 - T^2 - T^6 + T^7, the lcm x0^5*x1*z added
+    # back.  The back run takes the K of the saturation's leads, <z>,
+    # which the result is handed.  Both runs return the plain run's basis
+    targeted = spy_on_targets(monkeypatch)
+    ring = polynomial_ring(["x0", "x1", "z"], block_sizes=(2, 1))
+    I = Ideal(ring, [P(ring, "x1*z"), P(ring, "x0^5*z")])
+    S = saturate_by_block(I, 0)
+    assert [(gens.hilbert, order) for gens, order in targeted] == [
+        ([1, 0, -1, 0, 0, 0, -1, 1], MonomialOrder(ring, [[0, 2, 1]])),
+        ([1, -1], grevlex_order(ring))]
+    for gens, order in targeted:
+        assert buchberger(gens, order) == buchberger(tuple(gens), order)
+    assert vars(S)["_numerator"] == {(0, 0): 1, (0, 1): -1}
+
+
 def test_saturate_by_block_gives_up_after_ten_attempts(monkeypatch):
     # every form in x0, x1, the bare x1 first, is a zerodivisor mod
     # <x0*z, x1*z>, and each certificate is forced to fail here: the
@@ -838,11 +887,14 @@ def test_saturation_pipeline_progress_n6():
     # nonzerodivisor, so each block stops after one basis.  Blocks a and
     # b run; block c's order is grevlex itself, and block b's basis keeps
     # every lead under it, so block c reuses that basis and runs nothing.
+    # Block b's run takes its Hilbert target from block a's basis, cached
+    # on the ideal: without it the run reduced 11 S-pairs, and only the 2
+    # up to the last nonzero remainder of each total degree are left
     calls = []
     saturation_pipeline(6, lambda *args: calls.append(args))
-    assert calls == [(11, 0, 7), (11, 0, 7)]
+    assert calls == [(11, 0, 7), (2, 0, 7)]
     assert len(calls) == 2
-    assert sum(c[0] for c in calls) == 22
+    assert sum(c[0] for c in calls) == 13
     assert sum(c[2] for c in calls) == 14
     # from the cubics alone, block a stops after one run; block b takes
     # one run for its last variable and one for the reduced grevlex basis
@@ -850,10 +902,13 @@ def test_saturation_pipeline_progress_n6():
     # order is grevlex itself, so it reads that basis and runs nothing.
     # Without its Hilbert target that last run reduced 11 S-pairs, all to
     # zero, and kept its 7 inputs: their leads span the initial ideal, so
-    # their K-polynomial meets the target and no pair is formed
+    # their K-polynomial meets the target and no pair is formed.  Block
+    # b's first run takes its target from block a's basis, as above: 7
+    # of its 23 S-pairs come at or before the last nonzero remainder of
+    # their total degree
     calls = []
     cubic_route(6, lambda *args: calls.append(args))
-    assert calls == [(23, 0, 10), (23, 0, 10), (0, 0, 7)]
+    assert calls == [(23, 0, 10), (7, 0, 10), (0, 0, 7)]
 
 
 def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
