@@ -310,16 +310,38 @@ def _horner(polys: Sequence[Polynomial]) -> tuple:
 
 def _run(program: tuple, products: dict) -> list:
     """The output columns of a program from _horner over one batch's
-    products from _coordinate_columns."""
+    products from _coordinate_columns.  A step's column is dropped right
+    after the last step that reads it, and the outputs are kept, so at
+    most the program's live width of step columns is held at once."""
     steps, outputs = program
+    last = {c: k for k, (_, a, b) in enumerate(steps) for c in (a, b)}
+    last.update(dict.fromkeys(outputs, len(steps)))
+    dead = [[] for _ in range(len(steps) + 1)]
+    for c, k in last.items():
+        if isinstance(c, int):
+            dead[k].append(c)
     cols = dict(products)
     for k, (op, a, b) in enumerate(steps):
         cols[k] = (list(map(op.__mul__, cols[a])) if b is None
                    else list(map(op, cols[a], cols[b])))
+        for c in dead[k]:
+            del cols[c]
     return [cols[k] for k in outputs]
 
 
-_BATCH = 512  # trials per batch: one batch's columns are all that is held
+def _draw(rand, n: int) -> tuple:
+    """n distinct integers of [-20, 20], by a partial Fisher-Yates pass
+    that takes one float of `rand` per point."""
+    pool = list(range(-20, 21))
+    points = []
+    for m in range(41, 41 - n, -1):
+        j = int(rand() * m)
+        points.append(pool[j])
+        pool[j] = pool[m - 1]
+    return tuple(points)
+
+
+_BATCH = 512  # trials per batch: one batch's live columns are all that is held
 
 
 @dataclass
@@ -344,14 +366,17 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
     """Evaluate every cubic and quartic generator at random distinct
     integer point configurations; exact zeros required.
 
-    Points are drawn without repetition from [-20, 20] with a seeded
-    generator, so runs are reproducible.
+    Points are drawn without repetition from [-20, 20] (_draw) from the
+    floats of a seeded random.Random, so runs are reproducible, also
+    across Python versions, which keep that sequence but not the output
+    of Random.sample.
 
     The test runs in plain ints, a batch of trials at a time, as integer
     columns.  All the equations are compiled once, each times `scale`,
     the lcm of its coefficient denominators, into one Horner program
     (_horner) that shares their common sub-forms; each batch runs every
-    step of it once.  Each trial scales block i's cross ratios by L_i,
+    step of it once, holding only the columns a later step still reads
+    (_run).  Each trial scales block i's cross ratios by L_i,
     the lcm of that block's denominators.  An equation of multidegree d
     is homogeneous of degree d_i in block i, so its integer value is its
     exact value times the nonzero constant scale * prod_i L_i^(d_i):
@@ -368,7 +393,7 @@ def vanishing_test(n: int, trials: int = 50, seed: int = 0) -> VanishingReport:
     program = _horner(eqs)
     failures = []
     for start in range(0, trials, _BATCH):
-        batch = [tuple(rng.sample(range(-20, 21), n))
+        batch = [_draw(rng.random, n)
                  for _ in range(min(_BATCH, trials - start))]
         products = _coordinate_columns(batch)
         hits = sorted(

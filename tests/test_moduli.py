@@ -9,6 +9,7 @@ normalization (content-free, positive lex-leading coefficient).
 import hashlib
 import os
 import random
+import tracemalloc
 from itertools import product
 from math import comb, lcm, prod
 from operator import add, mul, sub
@@ -54,6 +55,7 @@ from m0nbar.moduli import (
 from m0nbar.moduli import (
     _block_var,
     _coordinate_columns,
+    _draw,
     _horner,
     _run,
 )
@@ -307,9 +309,22 @@ def test_vanishing_rejects_a_non_multihomogeneous_equation(monkeypatch):
         vanishing_test(6, trials=1)
 
 
+def fisher_yates(rand, n):
+    # the reference draw: n distinct points of [-20, 20], each one a pick
+    # by one float from the points still in the pool, whose last entry
+    # then fills the gap
+    pool, points = list(range(-20, 21)), []
+    for _ in range(n):
+        j = int(rand() * len(pool))
+        points.append(pool[j])
+        pool[j] = pool[-1]
+        pool.pop()
+    return tuple(points)
+
+
 @pytest.mark.parametrize("mutants", [["a0 + a1"], ["a0 + a1", "b0 + b1"]])
 def test_vanishing_failures_match_a_per_trial_oracle(monkeypatch, mutants):
-    # 1100 trials span three batches.  a0 + a1 vanishes in one trial of
+    # 1100 trials span three batches.  a0 + a1 vanishes in two trials of
     # the 1100; with b0 + b1 beside it most trials fail twice, so the
     # order within a trial (by equation index) is checked too.
     import m0nbar.moduli as moduli
@@ -321,10 +336,10 @@ def test_vanishing_failures_match_a_per_trial_oracle(monkeypatch, mutants):
     assert trials > 2 * moduli._BATCH
     report = vanishing_test(5, trials=trials, seed=0)
     eqs = cubic_generators(5) + extra
-    rng = random.Random(0)
+    random_float = random.Random(0).random
     expected = []
     for trial in range(trials):
-        points = tuple(rng.sample(range(-20, 21), 5))
+        points = fisher_yates(random_float, 5)
         coords = embedding_coordinates(PointConfig(points))
         for index, eq in enumerate(eqs):
             value = eq.evaluate(coords)
@@ -338,17 +353,29 @@ def test_vanishing_failures_match_a_per_trial_oracle(monkeypatch, mutants):
         assert len(expected) > len(failed)
 
 
+def test_draw_takes_distinct_points_of_the_range_in_every_order():
+    for n in (4, 7, 41):
+        draws = [_draw(random.Random(seed).random, n) for seed in range(3000)]
+        assert draws[:50] == [_draw(random.Random(seed).random, n)
+                              for seed in range(50)]
+        for points in draws:
+            assert len(points) == n == len(set(points))
+            assert set(points) <= set(range(-20, 21))
+        for position in zip(*draws):
+            assert set(position) == set(range(-20, 21))
+
+
 def test_vanishing_draws_its_points_one_batch_at_a_time(monkeypatch):
     # each batch is evaluated before the next one is drawn, so memory
     # stays flat in the number of trials
     import m0nbar.moduli as moduli
 
     draws = []
-    sample = random.Random.sample
+    draw = moduli._draw
 
-    def counted_sample(self, *args, **kwargs):
+    def counted_draw(*args):
         draws.append(None)
-        return sample(self, *args, **kwargs)
+        return draw(*args)
 
     columns = moduli._coordinate_columns
     evaluated = []
@@ -357,7 +384,7 @@ def test_vanishing_draws_its_points_one_batch_at_a_time(monkeypatch):
         evaluated.append((len(draws), len(batch)))
         return columns(batch)
 
-    monkeypatch.setattr(random.Random, "sample", counted_sample)
+    monkeypatch.setattr(moduli, "_draw", counted_draw)
     monkeypatch.setattr(moduli, "_coordinate_columns", recorded_columns)
     size = moduli._BATCH
     trials = 2 * size + 76
@@ -434,6 +461,52 @@ def test_horner_program_shares_its_steps(n, term_by_term):
     assert len(steps) < term_by_term
     assert len(set(steps)) == len(steps)
     assert {op for op, _, _ in steps} <= {add, sub, mul}
+
+
+# the most step columns _run holds at once for the same programs, pinned
+HORNER_LIVE_WIDTH = {5: 3, 6: 10, 7: 31, 8: 76, 9: 159}
+
+
+def live_width(program):
+    # step k's column is live from step k through the last step that reads
+    # it, an output's through the end: the most columns live at one step
+    steps, outputs = program
+    end = {}
+    for k, (_, a, b) in enumerate(steps):
+        end.update((c, k) for c in (a, b) if isinstance(c, int))
+    end.update((c, len(steps)) for c in outputs)
+    return max(sum(c <= k <= end[c] for c in range(len(steps)))
+               for k in range(len(steps)))
+
+
+def run_keeping_every_column(program, products):
+    # the reference: every column is kept until the batch ends
+    steps, outputs = program
+    cols = dict(products)
+    for k, (op, a, b) in enumerate(steps):
+        cols[k] = (list(map(op.__mul__, cols[a])) if b is None
+                   else list(map(op, cols[a], cols[b])))
+    return [cols[k] for k in outputs]
+
+
+@pytest.mark.parametrize("n", sorted(HORNER_LIVE_WIDTH))
+def test_run_drops_each_column_after_its_last_read(n):
+    program = _horner(cubic_generators(n) + quartic_equations(n))
+    assert live_width(program) == HORNER_LIVE_WIDTH[n]
+    rand = random.Random(n).random
+    products = _coordinate_columns([_draw(rand, n) for _ in range(64)])
+    peaks = []
+    for run in (run_keeping_every_column, _run):
+        tracemalloc.start()
+        try:
+            outputs = run(program, products)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert outputs == run_keeping_every_column(program, products)
+    # from n = 6 on the live width is at most 22% of the steps
+    if n >= 6:
+        assert peaks[1] < peaks[0] / 2
 
 
 # -- quartic membership witness ---------------------------------------------
