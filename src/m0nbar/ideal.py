@@ -34,8 +34,7 @@ a complete intersection of their degrees, which no such ideal undercuts.
 Progress counts only the reduced pairs.  Public Groebner bases are
 reduced, monic, and sorted by ascending leading monomial, so equal
 ideals yield identical bases.  Each run checks its generators on its
-packed reduced basis, and an Ideal reuses a basis cached under another
-order when no lead moves.
+packed reduced basis, and every basis an Ideal caches comes from a run.
 
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
 with v as the smallest variable, whose basis elements divided by their
@@ -529,33 +528,19 @@ class Ideal:
 
     def groebner_basis(self, order: MonomialOrder | None = None,
                        progress: Progress | None = None) -> tuple:
-        """Reduced basis under order (grevlex by default), cached.  On a
-        miss, the first basis G cached under another order whose every
-        lead stays put, lm_order(g) == lm_other(g), is reused sorted by
-        those leads, with no run and no progress.  Proof: f in I divided
-        by G under order leaves a remainder in I with no term in <lm G> =
-        in_other(I), so 0; every tail term is standard, so G is reduced.
-        Homogeneity is not needed.  Otherwise a run computes it, targeted
-        if the generators are homogeneous and K needs no run to read."""
+        """Reduced basis under order (grevlex by default), cached.  A miss
+        is one run, targeted if the generators are homogeneous and K needs
+        no run to read: a basis is cached or K was handed over."""
         if order is None:
             order = grevlex_order(self.ring)
         if order.ring != self.ring:
             raise ValueError("order from a different ring")
         cached = self._gb.get(order)
         if cached is None:
-            for other, basis in self._gb.items():
-                if all(g.leading_monomial(order) == g.leading_monomial(other)
-                       for g in basis):
-                    cached = tuple(sorted(basis, key=lambda g: order.key(
-                        g.leading_monomial(order))))
-                    break
-            else:
-                gens = self.gens
-                if _homogeneous(gens) and (self._gb
-                                           or "_numerator" in vars(self)):
-                    gens = _Targeted(gens, hilbert_numerator(self))
-                cached = tuple(buchberger(gens, order, progress))
-            self._gb[order] = cached
+            gens = self.gens
+            if _homogeneous(gens) and (self._gb or "_numerator" in vars(self)):
+                gens = _Targeted(gens, hilbert_numerator(self))
+            cached = self._gb[order] = tuple(buchberger(gens, order, progress))
         return cached
 
     def with_cached_basis(self, order: MonomialOrder,

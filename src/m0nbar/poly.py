@@ -245,7 +245,10 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})

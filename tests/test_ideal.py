@@ -308,21 +308,37 @@ def test_groebner_cache():
     order = lex_order(XY)
     assert I.groebner_basis(order) is I.groebner_basis(order)
     assert I.groebner_basis(order) is not I.groebner_basis(grevlex_order(XY))
+    J = Ideal(R6, [P(R6, "a0*b0"), P(R6, "a1*c3")])
+    assert repr(J) == "Ideal(2 generators in 3 blocks)"
 
 
 def spy_on_runs(monkeypatch):
-    """Log the order of every run of m0nbar.ideal.buchberger, which
-    Ideal.groebner_basis calls; returns the log."""
+    """Log (gens, order, S-pairs reduced) of every run of
+    m0nbar.ideal.buchberger, which Ideal.groebner_basis calls, and run
+    it; returns the log."""
     import m0nbar.ideal as ideal_module
     run = ideal_module.buchberger
-    orders = []
+    runs = []
 
     def spy(gens, order, progress=None):
-        orders.append(order)
-        return run(gens, order, progress)
+        ends = [(0,)]
+
+        def report(*args):
+            ends.append(args)
+            if progress is not None:
+                progress(*args)
+
+        basis = run(gens, order, report)
+        runs.append((gens, order, ends[-1][0]))
+        return basis
 
     monkeypatch.setattr(ideal_module, "buchberger", spy)
-    return orders
+    return runs
+
+
+def keeps_every_lead(basis, first, second):
+    return all(g.leading_monomial(first) == g.leading_monomial(second)
+               for g in basis)
 
 
 # grevlex, lex, two block orders, an elimination order and a grevlex
@@ -335,13 +351,14 @@ XYZ_ORDERS = [grevlex_order(XYZ), lex_order(XYZ),
 
 
 def test_reused_bases_match_fresh_runs_on_random_ideals(monkeypatch):
-    # an ideal whose basis is cached under one order is asked for another;
-    # whether it reuses the cached basis or runs, the answer is the fresh
-    # reduced basis under the new order.  Generators mix degrees 1 to 3,
-    # homogeneous or not.
+    # an ideal whose basis is cached under one order is asked for another:
+    # the answer is one run, whose basis is the fresh reduced basis under
+    # the new order, also for the 812 of the 1200 pairs of orders whose
+    # second keeps every lead of the cached basis.  Generators mix
+    # degrees 1 to 3, homogeneous or not.
     rng = random.Random(20261019)
     runs = spy_on_runs(monkeypatch)
-    reused = ran = 0
+    kept = 0
     for _ in range(40):
         gens = [random_poly(rng, XYZ, rng.randint(1, 3), rng.random() < 0.5)
                 for _ in range(rng.randint(1, 3))]
@@ -351,10 +368,9 @@ def test_reused_bases_match_fresh_runs_on_random_ideals(monkeypatch):
             runs.clear()
             assert list(I.groebner_basis(second)) == fresh[second]
             assert I.groebner_basis(second) is I.groebner_basis(second)
-            reused += not runs
-            ran += runs == [second]
-    assert reused + ran == 40 * 30
-    assert (reused, ran) == (812, 388)
+            assert [order for _, order, _ in runs] == [second]
+            kept += keeps_every_lead(fresh[first], first, second)
+    assert kept == 812
 
 
 def test_groebner_basis_runs_when_one_lead_moves(monkeypatch):
@@ -371,14 +387,15 @@ def test_groebner_basis_runs_when_one_lead_moves(monkeypatch):
     basis = I.groebner_basis(grevlex_order(XYZ))
     assert [str(g) for g in basis] == ["y*z + z^2", "x*y - y",
                                        "x*z^2 - z^2"]
-    assert runs == [grevlex_order(XYZ)]
+    assert [order for _, order, _ in runs] == [grevlex_order(XYZ)]
     # lex moves the first basis's z^2 to y*z again, but no lead of the
-    # grevlex basis, which is reused in its lex order
+    # grevlex basis; lex still gets its own run
     runs.clear()
     lex = I.groebner_basis(lex_order(XYZ))
     assert [str(g) for g in lex] == ["y*z + z^2", "x*z^2 - z^2", "x*y - y"]
+    assert keeps_every_lead(basis, grevlex_order(XYZ), lex_order(XYZ))
     assert list(lex) == buchberger(I.gens, lex_order(XYZ))
-    assert runs == []
+    assert [order for _, order, _ in runs] == [lex_order(XYZ)]
 
 
 def spy_on_targets(monkeypatch):
@@ -413,9 +430,13 @@ def test_groebner_basis_passes_no_target_for_inhomogeneous_gens(monkeypatch):
 def test_targeted_runs_match_plain_runs_on_random_ideals(monkeypatch):
     # an ideal whose generators are its basis cached under one order is
     # asked for another; with homogeneous generators the run takes that
-    # basis's Hilbert target, and returns the plain run's basis
+    # basis's Hilbert target, and returns the plain run's basis.  Where
+    # the second order keeps every lead (848 of the 1200 pairs of
+    # orders), the leads of the reduced inputs are in(I) already, so
+    # the run forms no S-pair
     rng = random.Random(20261020)
-    targeted = spy_on_targets(monkeypatch)
+    runs = spy_on_runs(monkeypatch)
+    kept = 0
     for _ in range(40):
         gens = [random_poly(rng, XYZ, rng.randint(1, 3), True)
                 for _ in range(rng.randint(1, 4))]
@@ -423,11 +444,15 @@ def test_targeted_runs_match_plain_runs_on_random_ideals(monkeypatch):
         for first, second in permutations(XYZ_ORDERS, 2):
             I = Ideal(XYZ, fresh[first]).with_cached_basis(first,
                                                             fresh[first])
+            runs.clear()
             assert list(I.groebner_basis(second)) == fresh[second]
-    # every pair of orders that moves a lead runs, with a target
-    assert len(targeted) == 352
-    for gens, order in targeted:
-        assert buchberger(gens, order) == buchberger(tuple(gens), order)
+            (gens, order, pairs), = runs
+            assert isinstance(gens, _Targeted)
+            assert buchberger(gens, order) == buchberger(tuple(gens), order)
+            if keeps_every_lead(fresh[first], first, second):
+                assert pairs == 0
+                kept += 1
+    assert kept == 848
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -440,11 +465,11 @@ def test_targeted_runs_match_plain_runs_in_the_pipeline(monkeypatch, n):
         I.groebner_basis(lex_order(I.ring))
     # every run but each route's first: block a runs on generators
     # alone, and every later run's ideal has a basis cached or was handed
-    # its K-polynomial.  The pipeline runs blocks a and b at n = 6, and at
-    # n = 7 also block b's back run and the lex basis; the cubic route
-    # runs blocks a and b, block b's back run and the lex basis at n = 6,
-    # and at n = 7 also block c's back run (block c reuses a basis)
-    assert len(targeted) == {5: 0, 6: 4, 7: 7}[n]
+    # its K-polynomial.  Each route runs block b and the lex basis at
+    # every n.  The pipeline also runs block c at n = 6 and 7 and block
+    # b's back run at n = 7; the cubic route also runs block b's back run
+    # at n = 6 and 7, and block c and its back run at n = 7
+    assert len(targeted) == {5: 4, 6: 6, 7: 9}[n]
     for gens, order in targeted:
         assert buchberger(gens, order) == buchberger(tuple(gens), order)
 
@@ -884,18 +909,18 @@ def test_saturation_pipeline_progress_n6():
     # interreduction); the benchmark reads its per-run counts from here.
     # The pipeline starts from the five cubics and the quartic, an ideal
     # that is already saturated: every block's last variable is a
-    # nonzerodivisor, so each block stops after one basis.  Blocks a and
-    # b run; block c's order is grevlex itself, and block b's basis keeps
-    # every lead under it, so block c reuses that basis and runs nothing.
+    # nonzerodivisor, so each block stops after one basis, one run each.
     # Block b's run takes its Hilbert target from block a's basis, cached
     # on the ideal: without it the run reduced 11 S-pairs, and only the 2
-    # up to the last nonzero remainder of each total degree are left
+    # up to the last nonzero remainder of each total degree are left.
+    # Block c's order is grevlex itself; its run starts from the same six
+    # generators and target and reduces the same 2 S-pairs
     calls = []
     saturation_pipeline(6, lambda *args: calls.append(args))
-    assert calls == [(11, 0, 7), (2, 0, 7)]
-    assert len(calls) == 2
-    assert sum(c[0] for c in calls) == 13
-    assert sum(c[2] for c in calls) == 14
+    assert calls == [(11, 0, 7), (2, 0, 7), (2, 0, 7)]
+    assert len(calls) == 3
+    assert sum(c[0] for c in calls) == 15
+    assert sum(c[2] for c in calls) == 21
     # from the cubics alone, block a stops after one run; block b takes
     # one run for its last variable and one for the reduced grevlex basis
     # of the certified saturation, which adds the quartic; block c's
@@ -935,24 +960,26 @@ def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
     assert batches == [(2, 10)]
 
 
-@pytest.mark.parametrize("n, runs", [(5, 1), (6, 2), (7, 3)])
+@pytest.mark.parametrize("n, targeted", [(5, 1), (6, 2), (7, 3)])
 def test_saturation_pipeline_settles_every_block_unsheared(monkeypatch,
-                                                           n, runs):
+                                                           n, targeted):
     # every block is settled by its bare last variable: no shear, one
     # basis per block, and at n = 7 one more run for block b's certified
-    # saturation (b2 divides with k = 1).  One block per n reuses a
-    # cached basis whose leads its order keeps and runs nothing (block b
-    # at n = 5, block c at n = 6 and 7), and at n = 7 block d reads the
-    # grevlex basis that block b's result carries
+    # saturation (b2 divides with k = 1), whose grevlex basis block b's
+    # result carries; block d's order is grevlex itself, so it reads that
+    # basis and runs nothing.  Block a's run is the only one without a
+    # Hilbert target
     import m0nbar.ideal as ideal_module
 
     def no_shear(*args):
         raise AssertionError("saturation_pipeline sheared a block")
 
     monkeypatch.setattr(ideal_module, "_shear", no_shear)
+    runs = spy_on_targets(monkeypatch)
     calls = []
     saturation_pipeline(n, lambda *args: calls.append(args))
-    assert sum(queued == 0 for _, queued, _ in calls) == runs
+    assert len(runs) == targeted
+    assert sum(queued == 0 for _, queued, _ in calls) == targeted + 1
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -974,54 +1001,42 @@ def test_saturation_pipeline_never_takes_the_square_target(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
-def test_saturation_pipeline_reuses_only_fresh_bases(monkeypatch, n):
-    # a basis that groebner_basis takes from the cache under an order new
-    # to its ideal equals a fresh run under that order; each n reuses one
-    # (block b at n = 5, block c at n = 6 and 7)
+def test_saturation_pipeline_runs_once_per_cache_miss(monkeypatch, n):
+    # every basis the pipeline asks for under an order new to its ideal
+    # comes from exactly one run: n - 3 runs, one per block but block d,
+    # plus block b's back run at n = 7.  There block c's ideal is block
+    # b's result, whose generators are its cached grevlex basis; block
+    # c's order keeps every lead of that basis, so the run finds that
+    # their leads give the target, forms no S-pair and returns the same
+    # basis
     runs = spy_on_runs(monkeypatch)
     basis_of = Ideal.groebner_basis
-    reuses = []
+    misses = []
 
     def spy(self, order=None, progress=None):
         order = order or grevlex_order(self.ring)
-        new, before = order not in self._gb, len(runs)
+        cached, before = dict(self._gb), len(runs)
         basis = basis_of(self, order, progress)
-        if new and len(runs) == before:
-            reuses.append((self.gens, order, basis))
+        if order not in cached:
+            assert len(runs) == before + 1
+            misses.append((self, order, cached, runs[-1][2], basis))
         return basis
 
     monkeypatch.setattr(Ideal, "groebner_basis", spy)
     saturation_pipeline(n)
-    assert len(reuses) == 1
-    for gens, order, basis in reuses:
-        assert list(basis) == buchberger(gens, order)
-
-
-def with_leads(basis, order):
-    return sorted((str(g), g.leading_monomial(order)) for g in basis)
-
-
-@pytest.mark.parametrize("n", [5, 6, 7])
-def test_saturation_pipeline_repeats_no_run(monkeypatch, n):
-    # no run of the pipeline returns, with the same leads, a basis that
-    # its ideal already has cached under another order: such a run only
-    # finds that every S-pair reduces to zero.  (At n = 6 block b's run
-    # returns block a's basis with one lead moved, which only a run can
-    # tell is still a basis.)
-    runs = spy_on_runs(monkeypatch)
-    basis_of = Ideal.groebner_basis
-
-    def spy(self, order=None, progress=None):
-        cached = [with_leads(b, other) for other, b in self._gb.items()]
-        before = len(runs)
-        basis = basis_of(self, order, progress)
-        if len(runs) > before:
-            assert with_leads(basis, runs[-1]) not in cached
-        return basis
-
-    monkeypatch.setattr(Ideal, "groebner_basis", spy)
-    saturation_pipeline(n)
-    assert len(runs) == n - 4
+    assert len(misses) == len(runs) == n - 3
+    if n == 7:
+        ring = moduli_ring(7)
+        last = ring.block_slices()[2][1] - 1
+        order = MonomialOrder(ring, [[v for v in range(ring.nvars)
+                                      if v != last] + [last]])
+        (I, _, cached, pairs, basis), = [m for m in misses if m[1] == order]
+        grevlex = grevlex_order(ring)
+        assert list(cached) == [grevlex]
+        assert keeps_every_lead(cached[grevlex], grevlex, order)
+        assert pairs == 0
+        assert sorted(basis, key=str) == sorted(cached[grevlex], key=str)
+        assert list(basis) == buchberger(I.gens, order)
 
 
 # -- monomial ideals and invariants ----------------------------------------
@@ -1047,6 +1062,8 @@ def test_monomial_ideal_minimal_gens():
     assert not M.contains((1, 0, 4))
     assert not M.is_squarefree()
     assert MonomialIdeal(XYZ, [xy, (0, 0, 1)]).is_squarefree()
+    # no coercion: a monomial ideal equals only a monomial ideal
+    assert not MonomialIdeal(XYZ, [(0, 0, 0)]) == 1
 
 
 @pytest.mark.parametrize("mono", [(1, 0), (1, -1, 0), (1, 0, 0, 0), [1, 0, 0],

@@ -709,7 +709,7 @@ def test_saturation_pipeline_n8_matches_predictions(capsys):
 
 
 @pytest.mark.skipif(os.environ.get("M0NBAR_N9") != "1",
-                    reason="the n = 9 saturation takes ~16 minutes; "
+                    reason="the n = 9 saturation takes ~10 minutes; "
                     "set M0NBAR_N9=1")
 def test_saturation_pipeline_n9_matches_predictions(monkeypatch):
     # one step past the paper, which proves generation for n <= 8 only:
@@ -788,6 +788,10 @@ def test_tree_counts_against_enumeration():
     # check it directly once more
     assert len(enumerate_trivalent_trees(4)) == 3
     assert len(enumerate_trivalent_trees(6)) == 105
+    with pytest.raises(ValueError, match="three leaves"):
+        enumerate_trivalent_trees(2)
+    with pytest.raises(ValueError, match="n >= 4"):
+        stable_tree_count(3)
 
 
 def test_enumerated_trees_are_distinct_split_sets():
@@ -819,6 +823,8 @@ def test_boundary_divisor_canonical_form():
     assert BoundaryDivisor.from_subset(5, (3, 5)).part == (1, 2, 4)
     with pytest.raises(ValueError):
         BoundaryDivisor.from_subset(5, (1,))
+    with pytest.raises(ValueError, match="from 1 to n"):
+        BoundaryDivisor.from_subset(5, (0, 1))
 
 
 def test_boundary_graph_n4_isolated():
@@ -849,6 +855,8 @@ def test_boundary_graph_n5_is_petersen():
 def test_boundary_graph_counts():
     for n in (4, 5, 6, 7):
         assert boundary_graph(n).num_vertices == 2 ** (n - 1) - n - 1
+    with pytest.raises(ValueError, match="n >= 4"):
+        boundary_graph(3)
 
 
 def test_boundary_export_format():

@@ -1,9 +1,12 @@
 """Tests for the package's namespace: its public names and private helpers."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import m0nbar
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_all_names_resolve_sorted_and_unique():
@@ -74,3 +77,47 @@ def test_every_module_level_import_is_used():
                 if name not in loaded:
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def _dotted(node: ast.expr) -> list:
+    """["a", "b", "c"] for the expression a.b.c, else []."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else []
+
+
+def test_every_name_the_bench_uses_resolves():
+    # bench/tracer.py wraps each (module, "attr" or "Class.method") of its
+    # TARGETS and fails with KeyError at install if one is gone;
+    # bench/workloads.py calls m0nbar.<module>.<attr>, also through local
+    # aliases such as ideal = m0nbar.ideal.  Renaming or moving any of
+    # these breaks the benchmark
+    tracer = ast.parse((BENCH / "tracer.py").read_text())
+    targets, = [ast.literal_eval(stmt.value) for stmt in tracer.body
+                if isinstance(stmt, ast.Assign)
+                and _dotted(stmt.targets[0]) == ["TARGETS"]]
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    aliases = {stmt.targets[0].id: _dotted(stmt.value)
+               for stmt in ast.walk(tree) if isinstance(stmt, ast.Assign)
+               and isinstance(stmt.targets[0], ast.Name)
+               and _dotted(stmt.value)[:1] == ["m0nbar"]}
+    calls = set()
+    for node in ast.walk(tree):
+        name = _dotted(node) if isinstance(node, ast.Attribute) else []
+        if name:
+            name = aliases.get(name[0], name[:1]) + name[1:]
+        if len(name) == 3 and name[0] == "m0nbar":
+            calls.add((f"m0nbar.{name[1]}", name[2]))
+    assert {("m0nbar.ideal", "spolynomial"),
+            ("m0nbar.ideal", "normal_form")} <= calls
+    missing = []
+    for module, attr in [*targets, *sorted(calls)]:
+        try:
+            owner = importlib.import_module(module)
+            for part in attr.split("."):
+                owner = vars(owner)[part]
+        except (ImportError, KeyError):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -44,10 +44,16 @@ def test_moduli_ring_layout():
         moduli_ring(4)
 
 
-@pytest.mark.parametrize("sizes", [(3, -1), (2, 0), (0, 2)])
+@pytest.mark.parametrize("sizes", [(3, -1), (2, 0), (0, 2), (1,)])
 def test_ring_rejects_empty_blocks(sizes):
+    # (1,) has no empty block, but sizes that miss the name count
     with pytest.raises(ValueError, match="block"):
         polynomial_ring(["x", "y"], sizes)
+
+
+def test_ring_rejects_duplicate_names():
+    with pytest.raises(ValueError, match="duplicate"):
+        polynomial_ring(["x", "y", "x"], (1, 2))
 
 
 def test_multidegree():
@@ -264,6 +270,8 @@ def test_evaluation_is_ring_morphism(p, q):
     point = [rat(i - 2, 3) for i in range(5)]
     assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
     assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+    with pytest.raises(ValueError, match="number of coordinates"):
+        p.evaluate(point[:4])
 
 
 @given(small_polys())
@@ -292,6 +300,8 @@ def test_parse_rejects_garbage():
         parse_polynomial(R5, "1/0*a0")
     with pytest.raises(ValueError):
         parse_polynomial(R5, "a0++b0")
+    with pytest.raises(ValueError, match=r"empty factor in 'x\*\*y'"):
+        parse_polynomial(XYZ, "x**y")
 
 
 def test_parse_keeps_a_sign_after_slash_in_the_denominator():
@@ -312,6 +322,8 @@ def test_cross_ring_arithmetic_rejected():
         p * "a0"
     with pytest.raises(TypeError):
         p * 0.5
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
 
 
 def test_scalar_products():
@@ -323,6 +335,16 @@ def test_scalar_products():
     assert p * rat(-2, 7) == P(XYZ, "-2/7*x^2 + 2/21*y*z - 4/7")
     assert rat(-2, 7) * p == p * rat(-2, 7)
     assert p * 1 == p and 1 * p == p
+
+
+def test_subtraction_from_a_scalar():
+    # a scalar on the left is coerced, as on the right; any other type is
+    # declined, so the error names the operator and operands as written
+    p = P(XYZ, "x^2 - 1/3*y*z + 2")
+    assert 3 - p == -(p - 3) == P(XYZ, "-x^2 + 1/3*y*z + 1")
+    assert rat(1, 2) - p == -(p - rat(1, 2))
+    with pytest.raises(TypeError, match="for -: 'float' and 'Polynomial'"):
+        1.5 - p
 
 
 def test_bool_constants_print_as_ints():
@@ -387,3 +409,5 @@ def test_leading_terms():
     assert q.leading_monomial(lex) == lm
     assert q.leading_coefficient(lex) == rat(-2, 7)
     assert q * q.leading_coefficient(lex).inverse() == p
+    with pytest.raises(ValueError, match="zero polynomial"):
+        R5.zero().leading_monomial(lex)
