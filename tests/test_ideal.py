@@ -1000,15 +1000,11 @@ def test_saturation_pipeline_never_takes_the_square_target(monkeypatch, n):
     saturation_pipeline(n)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
-def test_saturation_pipeline_runs_once_per_cache_miss(monkeypatch, n):
-    # every basis the pipeline asks for under an order new to its ideal
-    # comes from exactly one run: n - 3 runs, one per block but block d,
-    # plus block b's back run at n = 7.  There block c's ideal is block
-    # b's result, whose generators are its cached grevlex basis; block
-    # c's order keeps every lead of that basis, so the run finds that
-    # their leads give the target, forms no S-pair and returns the same
-    # basis
+def spy_on_misses(monkeypatch):
+    """Log (ideal, order, bases cached before, runs made, basis) of every
+    Ideal.groebner_basis call under an order its ideal has not cached,
+    and the (gens, order, S-pairs) of every buchberger run; returns both
+    logs."""
     runs = spy_on_runs(monkeypatch)
     basis_of = Ideal.groebner_basis
     misses = []
@@ -1018,25 +1014,68 @@ def test_saturation_pipeline_runs_once_per_cache_miss(monkeypatch, n):
         cached, before = dict(self._gb), len(runs)
         basis = basis_of(self, order, progress)
         if order not in cached:
-            assert len(runs) == before + 1
-            misses.append((self, order, cached, runs[-1][2], basis))
+            misses.append((self, order, cached, runs[before:], basis))
+        else:
+            assert len(runs) == before
         return basis
 
     monkeypatch.setattr(Ideal, "groebner_basis", spy)
+    return misses, runs
+
+
+def with_leads(basis, order):
+    return sorted((str(g), g.leading_monomial(order)) for g in basis)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_saturation_pipeline_reuses_only_fresh_bases(monkeypatch, n):
+    # every basis that groebner_basis returns under an order new to its
+    # ideal comes from exactly one run under that order, and equals a
+    # fresh run on the ideal's generators; a cached order runs nothing
+    misses, runs = spy_on_misses(monkeypatch)
     saturation_pipeline(n)
-    assert len(misses) == len(runs) == n - 3
+    assert len(misses) == n - 3
+    for I, order, _, made, basis in misses:
+        (_, run_order, _), = made
+        assert run_order == order
+        assert list(basis) == buchberger(I.gens, order)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_saturation_pipeline_repeats_no_run(monkeypatch, n):
+    # no run repeats one before it: the pipeline runs n - 3 times, once
+    # per block but block d plus block b's back run at n = 7, each the
+    # first ask of its order on its ideal.  One run per n returns, with
+    # the same leads, a basis its ideal already has cached under another
+    # order (block b at n = 5, block c at n = 6 and 7); it repeats no
+    # reduction where its generators are that basis (n = 5, and at n = 7
+    # block b's result, whose order keeps every lead of its cached
+    # grevlex basis): its Hilbert target is met by the leads and it forms
+    # no S-pair.  At n = 6 it starts from the six generators, and
+    # reduces the same 2 S-pairs as block b
+    misses, runs = spy_on_misses(monkeypatch)
+    saturation_pipeline(n)
+    assert len(runs) == len(misses) == n - 3
+    assert len({(id(I), order) for I, order, *_ in misses}) == n - 3
+    same = [m for m in misses
+            if with_leads(m[4], m[1]) in [with_leads(b, other)
+                                          for other, b in m[2].items()]]
+    (I, order, cached, ((_, _, pairs),), basis), = same
+    before = [b for b in cached.values()
+              if sorted(b, key=str) == sorted(basis, key=str)]
+    assert before
     if n == 7:
         ring = moduli_ring(7)
         last = ring.block_slices()[2][1] - 1
-        order = MonomialOrder(ring, [[v for v in range(ring.nvars)
-                                      if v != last] + [last]])
-        (I, _, cached, pairs, basis), = [m for m in misses if m[1] == order]
+        assert order == MonomialOrder(ring, [[v for v in range(ring.nvars)
+                                              if v != last] + [last]])
         grevlex = grevlex_order(ring)
         assert list(cached) == [grevlex]
         assert keeps_every_lead(cached[grevlex], grevlex, order)
-        assert pairs == 0
-        assert sorted(basis, key=str) == sorted(cached[grevlex], key=str)
-        assert list(basis) == buchberger(I.gens, order)
+    assert pairs == {5: 0, 6: 2, 7: 0}[n]
+    if n != 6:
+        assert sorted(I.gens, key=str) == sorted(basis, key=str)
+    assert list(basis) == buchberger(I.gens, order)
 
 
 # -- monomial ideals and invariants ----------------------------------------
