@@ -11,11 +11,12 @@ its low fixed-width fields and its order digits (prefix sums of
 MonomialOrder.key) in the fields above them, and the top bit of every
 field is a guard (Monagan-Pearce packed exponent vectors).  So ints
 compare like the order, a product is one add, and divisibility is one
-subtract and mask.  The field width comes from the input's largest total
-degree; a product that reaches a guard bit aborts the run, which
-restarts with fields twice as wide, so fields never wrap.  Polynomials
-outside the engine keep their exponent tuples: they are packed on entry
-and unpacked on output.
+subtract and mask.  A field is 8, 16, 32 or 64 bits wide, sized from the
+input's largest total degree, so the exponent fields unpack as one array
+of machine integers; a product that reaches a guard bit aborts the run,
+which restarts with fields twice as wide (a field past 64 bits is an
+error), so fields never wrap.  Polynomials outside the engine keep their
+exponent tuples: they are packed on entry and unpacked on output.
 
 The S-pair queue is one list sorted descending by (lcm total degree, packed
 lcm, i, j) and popped from its end (the normal selection strategy); the
@@ -38,18 +39,20 @@ packed reduced basis, and every basis an Ideal caches comes from a run.
 
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
 with v as the smallest variable, whose basis elements divided by their
-largest powers of v generate the saturation (Bayer-Stillman).  A block
-is saturated the same way by one element l of its irrelevant ideal:
-first its bare last variable, then linear forms of its variables, each
-after a shear that puts l in that variable's slot; normal forms against
-that run's basis certify that the result is the block saturation, and a
-failed certificate retries with the next of the fixed sequence.  Ideal
-intersection is the only place that adjoins a variable: it builds the
-ring with one more variable t and eliminates t from t*I + (1-t)*J.
-Graded invariants (piece dimensions, minimal generator counts, Hilbert
-codimension and degree) come either from the ideal's one multigraded
-K-polynomial or from exact matrix ranks.  The K-polynomial has one
-kernel: a pivot recursion on the polarized generators as bitmasks.
+largest powers of v generate the saturation (Bayer-Stillman), or no run
+when v divides no lead of a basis cached on I, which shows that v is a
+nonzerodivisor.  A block is saturated the same way by one element l of
+its irrelevant ideal: first its bare last variable, then linear forms of
+its variables, each after a shear that puts l in that variable's slot;
+normal forms against that run's basis certify that the result is the
+block saturation, and a failed certificate retries with the next of the
+fixed sequence.  Ideal intersection is the only place that adjoins a
+variable: it builds the ring with one more variable t and eliminates t
+from t*I + (1-t)*J.  Graded invariants (piece dimensions, minimal
+generator counts, Hilbert codimension and degree) come either from the
+ideal's one multigraded K-polynomial or from exact matrix ranks.  The
+K-polynomial has one kernel: a pivot recursion on the polarized
+generators as bitmasks.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate, count, product
 from math import comb, gcd, prod
 from operator import add, le, lshift, mul, sub
+from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .arith import Rational, _int_form, _primitive, matrix_rank
@@ -94,14 +98,22 @@ class _Packer:
     variable, a product is one add, and d divides m iff (m - d) & guard
     == 0: the digits of m are at least those of d whenever its exponents
     are.  The top bit of every field is a guard that is 0 in every valid
-    monomial, so a product with a guard bit set has overflowed.
+    monomial, so a product with a guard bit set has overflowed.  A field
+    is 8, 16, 32 or 64 bits wide, so unpack reads the exponent fields as
+    one little-endian array of unsigned machine integers.
     """
 
-    __slots__ = ("width", "guard", "mask", "low", "shifts", "weights")
+    __slots__ = ("width", "guard", "mask", "low", "shifts", "weights",
+                 "fields", "nbytes")
 
     def __init__(self, order: MonomialOrder, width: int) -> None:
+        if width not in _FORMATS:
+            raise OverflowError(f"{width}-bit exponent fields: packed "
+                                "fields are 8, 16, 32 or 64 bits wide")
         nv = order.ring.nvars
         self.width = width
+        self.fields = Struct(f"<{nv}{_FORMATS[width]}")
+        self.nbytes = nv * width // 8
         self.shifts = tuple(range(0, nv * width, width))
         self.mask = (1 << (width - 1)) - 1
         self.low = (1 << nv * width) - 1
@@ -117,15 +129,22 @@ class _Packer:
         return sum(map(mul, mono, self.weights))
 
     def unpack(self, m: int) -> Monomial:
-        mask = self.mask
-        return tuple(m >> s & mask for s in self.shifts)
+        return self.fields.unpack((m & self.low).to_bytes(self.nbytes,
+                                                           "little"))
 
-    def lcm(self, a: int, b: int) -> int:
-        """Fieldwise maximum of two packed monomials; its exponent fields
-        hold their lcm."""
-        ge = ((a | self.guard) - b) & self.guard  # fields where a >= b
-        sel = ge - (ge >> (self.width - 1))
-        return (a & sel) | (b & ~sel)
+    def lcms(self, a: int, bs: Iterable[int],
+             running: bool = False) -> Iterator[int]:
+        """Fieldwise maximum of a with each packed monomial of bs, whose
+        exponent fields hold their lcm; if running, each maximum replaces
+        a, so the last is the fieldwise maximum of a and all of bs."""
+        guard, top_bit = self.guard, self.width - 1
+        for b in bs:
+            ge = ((a | guard) - b) & guard  # fields where a >= b
+            sel = ge - (ge >> top_bit)
+            m = (a & sel) | (b & ~sel)
+            if running:
+                a = m
+            yield m
 
     def poly(self, p: Polynomial) -> tuple:
         """(num, scale): num maps each packed monomial of scale*p to its
@@ -139,9 +158,8 @@ class _Packer:
         """Basis element with the terms num."""
         lm = max(num)
         tail = [(m, c) for m, c in num.items() if m != lm]
-        top = lm
-        for m, _ in tail:
-            top = self.lcm(top, m)
+        # the running maxima grow in every field, so also as ints
+        top = max(self.lcms(lm, num, running=True))
         return _Gen(lm, num[lm], tail, top)
 
     def polynomial(self, ring: RingSpec, num: dict, den: int) -> Polynomial:
@@ -151,10 +169,16 @@ class _Packer:
                                  for m, c in num.items()})
 
 
+# struct formats of the unsigned field widths
+_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
 def _width(polys: Iterable[Polynomial]) -> int:
-    """Field width with room for twice the largest total degree in polys."""
+    """Field width with room for twice the largest total degree in polys
+    and the guard bit, rounded up to 8, 16, 32 or 64 bits; past 64 bits
+    it is one that _Packer rejects."""
     top = max((sum(m) for p in polys for m in p.terms), default=0)
-    return max(8, (2 * top).bit_length() + 1)
+    return max(8, 1 << (2 * top).bit_length().bit_length())
 
 
 class _Gen:
@@ -264,7 +288,7 @@ def _update(G: list, P: list, h: _Gen, packer: _Packer) -> None:
     guard, low = packer.guard, packer.low
     t = len(G)
     lmh = h.lm
-    L = [packer.lcm(g.lm, lmh) & low for g in G]
+    L = [l & low for l in packer.lcms(lmh, [g.lm for g in G])]
     kept = [e for e in P if (e[1] - lmh) & guard
             or L[e[2]] == e[1] & low or L[e[3]] == e[1] & low]
     groups: dict = {}
@@ -550,7 +574,9 @@ class Ideal:
         return self
 
     def __repr__(self) -> str:
-        return f"Ideal({len(self.gens)} generators in {self.ring.nblocks} blocks)"
+        k, b = len(self.gens), self.ring.nblocks
+        return (f"Ideal({k} generator{'s' * (k != 1)} "
+                f"in {b} block{'s' * (b != 1)})")
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -617,15 +643,23 @@ def saturate_by_variable(I: Ideal, var: str | int,
                          progress: Progress | None = None) -> Ideal:
     """I : v^infinity for an ideal I homogeneous in total degree.
 
-    One grevlex run with v as the smallest variable (Bayer-Stillman):
-    v divides a homogeneous element iff it divides its leading monomial,
-    so dividing every basis element by its largest power of v gives a
-    Groebner basis of I : v^infinity under the same order.  The run's
-    basis stays cached on I under that order.  Returns I itself when no
-    basis element is divisible by v (v is then a nonzerodivisor mod I);
-    otherwise a new ideal J whose J.gens[i] is basis[i] divided by its
-    largest power of v.  Raises ValueError on a generator that is not
-    homogeneous, and on a var that names no variable of the ring.
+    Returns I itself, with no run, when v divides no lead of a basis
+    cached on I: if v divides no lead of a reduced Groebner basis of I
+    under some order, v is a nonzerodivisor mod I.  Proof: v divides no
+    minimal generator of in(I), so v is a nonzerodivisor mod in(I).  Let
+    v*f lie in I and r be the normal form of f; then v*r lies in I, and
+    if r != 0, in(I) holds lm(v*r) = v*lm(r), hence lm(r), which no term
+    of a normal form is.  So r = 0, f lies in I, and I : v^infinity = I.
+
+    Otherwise one grevlex run with v as the smallest variable
+    (Bayer-Stillman): v divides a homogeneous element iff it divides its
+    leading monomial, so dividing every basis element by its largest
+    power of v gives a Groebner basis of I : v^infinity under the same
+    order.  The run's basis stays cached on I under that order.  Returns
+    I itself when no basis element is divisible by v; otherwise a new
+    ideal J whose J.gens[i] is basis[i] divided by its largest power of
+    v.  Raises ValueError on a generator that is not homogeneous, and on
+    a var that names no variable of the ring.
     """
     ring = I.ring
     idx = ring.index(var) if var in ring.names else var
@@ -634,6 +668,9 @@ def saturate_by_variable(I: Ideal, var: str | int,
     if not _homogeneous(I.gens):
         raise ValueError("saturation by a variable needs generators "
                          "homogeneous in total degree")
+    if any(all(not g.leading_monomial(order)[idx] for g in basis)
+           for order, basis in I._gb.items()):
+        return I
     others = [i for i in range(ring.nvars) if i != idx]
     gb = I.groebner_basis(MonomialOrder(ring, [others + [idx]]), progress)
     powers = [min(m[idx] for m in g.terms) for g in gb]
@@ -700,8 +737,10 @@ def saturate_by_block(I: Ideal, block: int,
     to attempt j + 1.  All but finitely many l avoid the associated primes
     of I : B^infinity that do not contain B, and B^M (I : B^infinity) <= I
     for one M, so some attempt succeeds; every block of
-    saturation_pipeline up to n = 8 is settled at j = 0, and at n = 9
-    every block but a and b, which are settled at j = 1.
+    saturation_pipeline up to n = 8 is settled at j = 0, those whose
+    last variable divides no lead of a basis cached on I with no run
+    (block b at n = 5 and 6, c and d at n = 7, d and e at n = 8), and at
+    n = 9 every block but a and b, which are settled at j = 1.
     Raises ValueError unless 0 <= block < nblocks, and RuntimeError if no
     attempt is certified, which points to a wrong Groebner basis."""
     ring = I.ring

@@ -20,7 +20,7 @@ SATURATE_7_SHA256 = (
     "80ba43a1e51d6f6d4ef4578a40e654aae34d338df2c9fed8a3ae7a3c639e4953")
 SATURATE_6_GREVLEX_SHA256 = (
     "903683d866ac6b8e7c15ee917d1bb8238dfdff41f92dab4cc50d17be95a673e4")
-# the 5 progress lines of saturate 7 on stderr, from the pipeline that
+# the 4 progress lines of saturate 7 on stderr, from the pipeline that
 # starts at the cubics and the quartics and saturates each block by its
 # bare last variable first; their queued counts must be live pairs only.
 # Block b's back run ends "S-pairs: 0 processed, 0 queued, basis size
@@ -30,12 +30,11 @@ SATURATE_6_GREVLEX_SHA256 = (
 # Block b's own run takes its target from block a's basis, cached on the
 # ideal that block a returns unchanged: of the 201 pairs it reduced
 # without one, only the 87 up to the last nonzero remainder of each
-# total degree are left, so it reports once, at its end.  Block c's run
-# also ends "S-pairs: 0 processed, 0 queued, basis size 35": its inputs
-# are the 35 elements of block b's reduced grevlex basis, whose leads its
-# order keeps
+# total degree are left, so it reports once, at its end.  Block c makes
+# no run: c3 divides no lead of block b's reduced grevlex basis, cached
+# on block b's result, so c3 is a nonzerodivisor
 SATURATE_7_PROGRESS_SHA256 = (
-    "6fbef4af697640b330edc29ab2b7ac1363485d816e292e6a7313b114cca9ddd2")
+    "5f798e32e7310c53fe720a5f78c93e7c293bff560535cc758882e3d42186ec9f")
 # sha256 of the full stdout of two verify runs: a change to the vanishing
 # test must keep the printed checks and counts byte for byte
 VERIFY_7_SHA256 = (
@@ -289,12 +288,12 @@ def test_saturate_n7_reports_progress(capsys):
     assert "lex initial ideal square-free: yes" in lines
     assert sha256(out) == SATURATE_7_SHA256
     progress = [l for l in err.splitlines() if l.startswith("S-pairs:")]
-    assert len(progress) == 5
-    # each of the 4 Groebner runs reports its end once: one each for
-    # blocks a, b and c, and block b's reduced grevlex basis after its
-    # certificate; the last two form no pair.  Block b's result carries
-    # that basis, and block d's order is grevlex itself, so block d reads
-    # it and runs nothing.  Only block a's run, of 196 pairs, also
-    # reports at 100
-    assert sum(", 0 queued" in l for l in progress) == 4
+    assert len(progress) == 4
+    # each of the 3 Groebner runs reports its end once: one each for
+    # blocks a and b, and block b's reduced grevlex basis after its
+    # certificate, which forms no pair.  Block b's result carries that
+    # basis, and neither c3 nor d4 divides one of its leads, so blocks c
+    # and d run nothing.  Only block a's run, of 196 pairs, also reports
+    # at 100
+    assert sum(", 0 queued" in l for l in progress) == 3
     assert sha256("\n".join(progress)) == SATURATE_7_PROGRESS_SHA256

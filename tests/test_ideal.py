@@ -43,6 +43,7 @@ from m0nbar.ideal import (
     _Packer,
     _count_in,
     _Targeted,
+    _width,
 )
 from m0nbar.moduli import saturation_pipeline
 from m0nbar.poly import (
@@ -241,7 +242,17 @@ def test_packed_monomials():
     a, b = (3, 0, 100), (5, 2, 30)
     pa, pb = packer.pack(a), packer.pack(b)
     assert packer.unpack(pa) == a and packer.unpack(pb) == b
-    assert packer.unpack(packer.lcm(pa, pb)) == (5, 2, 100)
+    lcm, = packer.lcms(pa, [pb])
+    assert packer.unpack(lcm) == (5, 2, 100)
+    # the running maxima end at the fieldwise maximum of them all
+    pc = packer.pack((0, 7, 0))
+    assert [packer.unpack(m) for m in packer.lcms(pa, [pb, pc])] == [
+        (5, 2, 100), (3, 7, 100)]
+    assert [packer.unpack(m) for m in packer.lcms(
+        pa, [pb, pc], running=True)] == [(5, 2, 100), (5, 7, 100)]
+    # so a basis element's top is the fieldwise maximum of its terms
+    assert packer.unpack(packer.gen({pa: 1, pb: -2, pc: 3}).top) == (
+        5, 7, 100)
     # divisibility is a masked subtract
     assert not (packer.pack((5, 2, 100)) - pa) & packer.guard
     assert (pb - pa) & packer.guard and (pa - pb) & packer.guard
@@ -252,6 +263,51 @@ def test_packed_monomials():
     # the fields hold the total degree, not only each exponent
     with pytest.raises(_Overflow):
         packer.pack((64, 64, 0))
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_packed_monomials_round_trip_at_every_width(width):
+    # unpack reads the exponent fields as one array of width-bit
+    # integers: every field comes back, the top one of the largest
+    # exponent of that width too, whatever the order digits above them
+    for order in (lex_order(R6), grevlex_order(R6), XYZ_ORDERS[3]):
+        packer = _Packer(order, width)
+        top = packer.mask
+        nv = order.ring.nvars
+        monos = [(0,) * nv, (top,) + (0,) * (nv - 1),
+                 (0,) * (nv - 1) + (top,), (1,) * nv,
+                 tuple(range(nv)), tuple(range(nv, 0, -1))]
+        for m in monos:
+            assert packer.unpack(packer.pack(m)) == m
+
+
+def test_field_widths_are_bytes_up_to_64_bits():
+    # room for twice the largest total degree and a guard bit, rounded
+    # up to 8, 16, 32 or 64 bits
+    def width(degree):
+        return _width([Polynomial(XY, {(degree, 0): rat(1),
+                                       (0, 1): rat(1)})])
+    assert _width([]) == 8
+    assert [width(d) for d in (1, 63, 64, 16383, 16384, 2 ** 30 - 1,
+                               2 ** 30, 2 ** 62 - 1)] == [
+        8, 8, 16, 16, 32, 32, 64, 64]
+    assert width(2 ** 62) == 128
+    # a width past 64 bits is an error, whether the inputs need it at
+    # once or an overflow restart doubles 64
+    with pytest.raises(OverflowError, match="8, 16, 32 or 64 bits"):
+        _Packer(lex_order(XY), 128)
+    with pytest.raises(OverflowError, match="8, 16, 32 or 64 bits"):
+        _Packer(lex_order(XY), 24)
+    with pytest.raises(OverflowError, match="64 bits"):
+        normal_form(P(XY, "x"), [P(XY, f"x - y^{2 ** 62}")], lex_order(XY))
+    # x^4 modulo x - y^(2^61) is y^(2^63), one more bit than 64-bit
+    # fields hold
+    g = P(XY, f"x - y^{2 ** 61}")
+    assert _width([g, P(XY, "x^4")]) == 64
+    with pytest.raises(OverflowError, match="64 bits"):
+        normal_form(P(XY, "x^4"), [g], lex_order(XY))
+    assert normal_form(P(XY, "x^3"), [g], lex_order(XY)) == P(
+        XY, f"y^{3 * 2 ** 61}")
 
 
 @pytest.mark.parametrize("make_order", [
@@ -310,6 +366,9 @@ def test_groebner_cache():
     assert I.groebner_basis(order) is not I.groebner_basis(grevlex_order(XY))
     J = Ideal(R6, [P(R6, "a0*b0"), P(R6, "a1*c3")])
     assert repr(J) == "Ideal(2 generators in 3 blocks)"
+    assert repr(Ideal(XY, [P(XY, "x")])) == "Ideal(1 generator in 1 block)"
+    assert repr(Ideal(R6, [])) == "Ideal(0 generators in 3 blocks)"
+    assert repr(I) == "Ideal(2 generators in 1 block)"
 
 
 def spy_on_runs(monkeypatch):
@@ -465,11 +524,13 @@ def test_targeted_runs_match_plain_runs_in_the_pipeline(monkeypatch, n):
         I.groebner_basis(lex_order(I.ring))
     # every run but each route's first: block a runs on generators
     # alone, and every later run's ideal has a basis cached or was handed
-    # its K-polynomial.  Each route runs block b and the lex basis at
-    # every n.  The pipeline also runs block c at n = 6 and 7 and block
-    # b's back run at n = 7; the cubic route also runs block b's back run
-    # at n = 6 and 7, and block c and its back run at n = 7
-    assert len(targeted) == {5: 4, 6: 6, 7: 9}[n]
+    # its K-polynomial.  Each route runs the lex basis at every n.  The
+    # pipeline also runs block c at n = 6, and block b and its back run at
+    # n = 7; a cached basis settles every other block with no run.  At
+    # n = 5 both routes start from the one cubic.
+    # The cubic route also runs block b and its back run at n = 6 and 7,
+    # and block c and its back run at n = 7
+    assert len(targeted) == {5: 2, 6: 5, 7: 8}[n]
     for gens, order in targeted:
         assert buchberger(gens, order) == buchberger(tuple(gens), order)
 
@@ -519,6 +580,9 @@ def test_an_ideal_reads_one_k_polynomial_off_its_first_cached_basis(
     # ideal, with no run, gives the grevlex numerator, and only once
     rng = random.Random(20261021)
     runs = spy_on_runs(monkeypatch)
+    # a basis cached under v's own saturation order is read, not run
+    v_last = [MonomialOrder(XYZ, [[w for w in range(3) if w != v] + [v]])
+              for v in range(3)]
     for _ in range(20):
         gens = [random_poly(rng, XYZ, rng.randint(1, 3), True)
                 for _ in range(rng.randint(1, 3))]
@@ -680,6 +744,78 @@ def test_saturation_divides_the_basis_in_place(var):
         k = min(m[var] for m in g.terms)
         assert min(m[var] for m in h.terms) == 0
         assert XYZ.var_by_index(var) ** k * h == g
+
+
+def test_saturation_reads_a_nonzerodivisor_off_a_cached_basis(monkeypatch):
+    # I = <x*y - z^2> has the lead x*y under lex but z^2 under lex with
+    # z > y > x; x divides no lead of the second basis, so x is a
+    # nonzerodivisor mod I and I comes back with no run, though x divides
+    # a lead of the first basis
+    I = Ideal(XYZ, [P(XYZ, "x*y - z^2")])
+    zyx = MonomialOrder(XYZ, [[2], [1], [0]])
+    for order in (lex_order(XYZ), zyx):
+        I.with_cached_basis(order, buchberger(I.gens, order))
+    runs = spy_on_runs(monkeypatch)
+    assert saturate_by_variable(I, "x") is I
+    assert runs == []
+    assert list(I._gb) == [lex_order(XYZ), zyx]
+    # the plain x-last revlex run on the same generators agrees: x
+    # divides no element of its basis
+    fresh = Ideal(XYZ, I.gens)
+    assert saturate_by_variable(fresh, "x") is fresh
+    assert [order for _, order, _ in runs] == [
+        MonomialOrder(XYZ, [[1, 2, 0]])]
+    assert equal_ideals(oracle_saturation(I, 0), I)
+
+
+def test_saturation_runs_when_the_variable_divides_a_cached_lead(
+        monkeypatch):
+    # x divides the lead x^2*y of every basis of I = <x^2*y>, and
+    # I : x^infinity = <y>, which only the run finds; y and z divide no
+    # lead under lex, so the shortcut must read x's exponent
+    I = Ideal(XYZ, [P(XYZ, "x^2*y - x^2*z")])
+    I.with_cached_basis(lex_order(XYZ), I.gens)
+    runs = spy_on_runs(monkeypatch)
+    J = saturate_by_variable(I, "x")
+    assert [str(g) for g in J.gens] == ["y - z"]
+    assert [order for _, order, _ in runs] == [
+        MonomialOrder(XYZ, [[1, 2, 0]])]
+    assert saturate_by_variable(I, "z") is I
+    assert len(runs) == 1
+
+
+def test_saturation_shortcut_matches_the_oracle_on_random_ideals(
+        monkeypatch):
+    # each random ideal with its basis cached under one of XYZ_ORDERS at
+    # a time, saturated by each variable: the shortcut (no run, and no
+    # read of a basis cached under v's own order) returns I only where
+    # the oracle's I : v^infinity is I, and otherwise the result is the
+    # oracle's ideal.  It fires in 46 of the 720 saturations; in 78 of
+    # them the variable is a nonzerodivisor
+    rng = random.Random(20261021)
+    runs = spy_on_runs(monkeypatch)
+    # a basis cached under v's own saturation order is read, not run
+    v_last = [MonomialOrder(XYZ, [[w for w in range(3) if w != v] + [v]])
+              for v in range(3)]
+    fired = regular = 0
+    for _ in range(40):
+        gens = random_homogeneous_ideal(rng, XYZ).gens
+        sats = [oracle_saturation(Ideal(XYZ, gens), v) for v in range(3)]
+        for order in XYZ_ORDERS:
+            for v in range(3):
+                I = Ideal(XYZ, gens).with_cached_basis(
+                    order, buchberger(gens, order))
+                runs.clear()
+                J = saturate_by_variable(I, v)
+                if not runs and order != v_last[v]:
+                    fired += 1
+                    assert J is I
+                    assert list(I._gb) == [order]
+                is_regular = equal_ideals(sats[v], I)
+                regular += is_regular
+                assert (J is I) == is_regular
+                assert equal_ideals(J, sats[v])
+    assert (fired, regular) == (46, 78)
 
 
 def test_intersection():
@@ -909,18 +1045,18 @@ def test_saturation_pipeline_progress_n6():
     # interreduction); the benchmark reads its per-run counts from here.
     # The pipeline starts from the five cubics and the quartic, an ideal
     # that is already saturated: every block's last variable is a
-    # nonzerodivisor, so each block stops after one basis, one run each.
-    # Block b's run takes its Hilbert target from block a's basis, cached
-    # on the ideal: without it the run reduced 11 S-pairs, and only the 2
-    # up to the last nonzero remainder of each total degree are left.
-    # Block c's order is grevlex itself; its run starts from the same six
-    # generators and target and reduces the same 2 S-pairs
+    # nonzerodivisor, so each block stops after one basis, one run each,
+    # or none: b2 divides no lead of block a's basis, cached on the ideal,
+    # so block b makes no run.  Block c's order is grevlex itself; its run
+    # takes its Hilbert target from block a's basis: without it the run
+    # reduced 11 S-pairs, and only the 2 up to the last nonzero remainder
+    # of each total degree are left
     calls = []
     saturation_pipeline(6, lambda *args: calls.append(args))
-    assert calls == [(11, 0, 7), (2, 0, 7), (2, 0, 7)]
-    assert len(calls) == 3
-    assert sum(c[0] for c in calls) == 15
-    assert sum(c[2] for c in calls) == 21
+    assert calls == [(11, 0, 7), (2, 0, 7)]
+    assert len(calls) == 2
+    assert sum(c[0] for c in calls) == 13
+    assert sum(c[2] for c in calls) == 14
     # from the cubics alone, block a stops after one run; block b takes
     # one run for its last variable and one for the reduced grevlex basis
     # of the certified saturation, which adds the quartic; block c's
@@ -960,14 +1096,16 @@ def test_saturation_pipeline_normal_form_batches_n6(monkeypatch):
     assert batches == [(2, 10)]
 
 
-@pytest.mark.parametrize("n, targeted", [(5, 1), (6, 2), (7, 3)])
+@pytest.mark.parametrize("n, made", [(5, 1), (6, 2), (7, 3)])
 def test_saturation_pipeline_settles_every_block_unsheared(monkeypatch,
-                                                           n, targeted):
-    # every block is settled by its bare last variable: no shear, one
-    # basis per block, and at n = 7 one more run for block b's certified
+                                                           n, made):
+    # every block is settled by its bare last variable: no shear, and
+    # made runs in all.  Block a runs, and so does every later block
+    # whose last variable divides a lead of each cached basis: block c at
+    # n = 6, and block b at n = 7 with one more run for its certified
     # saturation (b2 divides with k = 1), whose grevlex basis block b's
-    # result carries; block d's order is grevlex itself, so it reads that
-    # basis and runs nothing.  Block a's run is the only one without a
+    # result carries.  The others (block b at n = 5 and 6, blocks c and d
+    # at n = 7) run nothing.  Block a's run is the only one without a
     # Hilbert target
     import m0nbar.ideal as ideal_module
 
@@ -978,8 +1116,8 @@ def test_saturation_pipeline_settles_every_block_unsheared(monkeypatch,
     runs = spy_on_targets(monkeypatch)
     calls = []
     saturation_pipeline(n, lambda *args: calls.append(args))
-    assert len(runs) == targeted
-    assert sum(queued == 0 for _, queued, _ in calls) == targeted + 1
+    assert len(runs) == made - 1
+    assert sum(queued == 0 for _, queued, _ in calls) == made
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -1031,10 +1169,12 @@ def with_leads(basis, order):
 def test_saturation_pipeline_reuses_only_fresh_bases(monkeypatch, n):
     # every basis that groebner_basis returns under an order new to its
     # ideal comes from exactly one run under that order, and equals a
-    # fresh run on the ideal's generators; a cached order runs nothing
+    # fresh run on the ideal's generators; a cached order runs nothing.
+    # A block whose last variable divides no lead of a cached basis asks
+    # for none (block b at n = 5 and 6, blocks c and d at n = 7)
     misses, runs = spy_on_misses(monkeypatch)
     saturation_pipeline(n)
-    assert len(misses) == n - 3
+    assert len(misses) == n - 4
     for I, order, _, made, basis in misses:
         (_, run_order, _), = made
         assert run_order == order
@@ -1043,39 +1183,19 @@ def test_saturation_pipeline_reuses_only_fresh_bases(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_saturation_pipeline_repeats_no_run(monkeypatch, n):
-    # no run repeats one before it: the pipeline runs n - 3 times, once
-    # per block but block d plus block b's back run at n = 7, each the
-    # first ask of its order on its ideal.  One run per n returns, with
-    # the same leads, a basis its ideal already has cached under another
-    # order (block b at n = 5, block c at n = 6 and 7); it repeats no
-    # reduction where its generators are that basis (n = 5, and at n = 7
-    # block b's result, whose order keeps every lead of its cached
-    # grevlex basis): its Hilbert target is met by the leads and it forms
-    # no S-pair.  At n = 6 it starts from the six generators, and
-    # reduces the same 2 S-pairs as block b
+    # no run repeats one before it: the pipeline runs n - 4 times (block
+    # a, block c at n = 6, block b and its back run at n = 7), each the
+    # first ask of its order on its ideal, and a cached basis settles
+    # every other block.  No run returns, with the same leads, a basis
+    # its ideal has cached under another order
     misses, runs = spy_on_misses(monkeypatch)
     saturation_pipeline(n)
-    assert len(runs) == len(misses) == n - 3
-    assert len({(id(I), order) for I, order, *_ in misses}) == n - 3
-    same = [m for m in misses
-            if with_leads(m[4], m[1]) in [with_leads(b, other)
-                                          for other, b in m[2].items()]]
-    (I, order, cached, ((_, _, pairs),), basis), = same
-    before = [b for b in cached.values()
-              if sorted(b, key=str) == sorted(basis, key=str)]
-    assert before
-    if n == 7:
-        ring = moduli_ring(7)
-        last = ring.block_slices()[2][1] - 1
-        assert order == MonomialOrder(ring, [[v for v in range(ring.nvars)
-                                              if v != last] + [last]])
-        grevlex = grevlex_order(ring)
-        assert list(cached) == [grevlex]
-        assert keeps_every_lead(cached[grevlex], grevlex, order)
-    assert pairs == {5: 0, 6: 2, 7: 0}[n]
-    if n != 6:
-        assert sorted(I.gens, key=str) == sorted(basis, key=str)
-    assert list(basis) == buchberger(I.gens, order)
+    assert len(runs) == len(misses) == n - 4
+    assert len({(id(I), order) for I, order, *_ in misses}) == n - 4
+    for I, order, cached, ((_, _, pairs),), basis in misses:
+        assert with_leads(basis, order) not in [
+            with_leads(b, other) for other, b in cached.items()]
+        assert list(basis) == buchberger(I.gens, order)
 
 
 # -- monomial ideals and invariants ----------------------------------------
