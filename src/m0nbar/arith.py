@@ -17,9 +17,10 @@ with the sign that makes a chosen leading entry positive.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import total_ordering
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union["Rational", int]
 
@@ -174,7 +175,13 @@ def _primitive(terms: dict, lead) -> dict:
 def _int_form(values: Mapping) -> tuple:
     """(ints, scale): the nonzero values of `values` times scale, as a new
     dict of ints with the same keys, where scale > 0 is the least common
-    denominator of the values (Rational or int)."""
+    denominator of the values (Rational or int); values that are all
+    ints (not bools) are copied as they are, with scale 1."""
+    for x in values.values():
+        if type(x) is not int:
+            break
+    else:
+        return {k: x for k, x in values.items() if x}, 1
     scale = 1
     for x in values.values():
         if isinstance(x, Rational):
@@ -199,11 +206,12 @@ def matrix_rank(rows: Iterable[Sequence[RationalLike] | Mapping]) -> int:
     (p[c] * row - row[c] * p) / gcd(p[c], row[c]).  A row that reaches a
     free column is made primitive (_primitive) and becomes its pivot.
     Scaling a row by a positive integer keeps the rank, so each row first
-    has its denominators cleared; the input rows are not modified.
+    has its denominators cleared, which leaves int rows as they are; the
+    input rows are not modified.
     """
     pivots: dict = {}
     for row in rows:
-        r, _ = _int_form(row if isinstance(row, Mapping)
+        r, _ = _int_form(row if type(row) is dict or isinstance(row, Mapping)
                          else dict(enumerate(row)))
         while r:
             c = min(r)

@@ -332,7 +332,9 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
 
     Output is sorted by ascending leading monomial, so it is a canonical
     form: two generating sets of the same ideal give the same list, and
-    the zero ideal (no nonzero generator) gives [].
+    the zero ideal (no nonzero generator) gives [].  The first key of
+    each element's terms is its leading monomial under order, so a
+    caller reads the leads off the run with no leading_monomial call.
     Monomials are packed once, with their order digits over their
     exponents, in fields sized from the largest total degree of gens.
 
@@ -505,7 +507,8 @@ def _buchberger(polys: list, packer: _Packer, progress: Progress | None,
 
 def _reduced_basis(G: Sequence[_Gen], packer: _Packer) -> list:
     """Minimalize and tail-reduce; the primitive integer rows, sorted by
-    leading monomial, each with a positive leading coefficient."""
+    leading monomial, each with a positive leading coefficient and its
+    leading monomial as its first key."""
     guard = packer.guard
     kept: list = []
     for g in sorted(G, key=lambda g: g.lm):
@@ -519,8 +522,7 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer) -> list:
     out = []
     for g in kept:
         r, den = _reduce(dict(g.tail), below, guard, first)
-        r[g.lm] = g.lc * den
-        out.append(_primitive(r, g.lm))
+        out.append(_primitive({g.lm: g.lc * den, **r}, g.lm))
         below.append(g)
     return out
 
@@ -530,11 +532,14 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer) -> list:
 
 class Ideal:
     """An ideal given by generators, with its reduced Groebner bases
-    cached by order and one multigraded K-polynomial _numerator, set once:
+    cached by order, _leads[order] the leading monomials of _gb[order],
+    and one multigraded K-polynomial _numerator, set once:
     saturate_by_block hands it over, or it is read off in(I) under the
     first cached order, or grevlex when the generators are inhomogeneous.
     Homogeneous (multihomogeneous) I have one total-degree (multigraded)
-    Hilbert series under every order and every shear of a block."""
+    Hilbert series under every order and every shear of a block.  The
+    generators' homogeneity, multidegrees and integer terms are each
+    read once, when first asked for."""
 
     def __init__(self, ring: RingSpec, gens: Iterable[Polynomial]) -> None:
         self.ring = ring
@@ -543,16 +548,35 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self._gb: dict = {}
+        self._leads: dict = {}
+
+    @cached_property
+    def _homogeneous(self) -> bool:
+        """Whether every generator is homogeneous in total degree."""
+        return _homogeneous(self.gens)
+
+    @cached_property
+    def _multidegrees(self) -> tuple:
+        """Multidegree of each nonzero generator; raises ValueError if
+        one is not multihomogeneous."""
+        return tuple(g.multidegree() for g in self.gens if g.terms)
+
+    @cached_property
+    def _int_terms(self) -> tuple:
+        """{monomial: int} of each nonzero generator, its denominators
+        cleared."""
+        return tuple(_int_form(g.terms)[0] for g in self.gens if g.terms)
 
     @cached_property
     def _numerator(self) -> dict:
         """{multidegree a: c}, the K-polynomial of R/I = that of R/in(I)."""
-        order = next(iter(self._gb), None) if _homogeneous(self.gens) else None
+        order = next(iter(self._gb), None) if self._homogeneous else None
         return initial_ideal(self, order)._numerator
 
     def groebner_basis(self, order: MonomialOrder | None = None,
                        progress: Progress | None = None) -> tuple:
-        """Reduced basis under order (grevlex by default), cached.  A miss
+        """Reduced basis under order (grevlex by default), cached with
+        its leads, which are the first terms of the run's output.  A miss
         is one run, targeted if the generators are homogeneous and K needs
         no run to read: a basis is cached or K was handed over."""
         if order is None:
@@ -562,16 +586,27 @@ class Ideal:
         cached = self._gb.get(order)
         if cached is None:
             gens = self.gens
-            if _homogeneous(gens) and (self._gb or "_numerator" in vars(self)):
+            if self._homogeneous and (self._gb or "_numerator" in vars(self)):
                 gens = _Targeted(gens, hilbert_numerator(self))
-            cached = self._gb[order] = tuple(buchberger(gens, order, progress))
+            basis = buchberger(gens, order, progress)
+            cached = self._cache(order, basis,
+                                 [next(iter(g.terms)) for g in basis])
         return cached
 
     def with_cached_basis(self, order: MonomialOrder,
                           basis: Sequence[Polynomial]) -> "Ideal":
-        """Cache basis, the reduced basis under order sorted by lead."""
-        self._gb[order] = tuple(basis)
+        """Cache basis, the reduced basis under order sorted by lead; its
+        leads are read with leading_monomial, since its terms may come in
+        any order."""
+        self._cache(order, basis, [g.leading_monomial(order) for g in basis])
         return self
+
+    def _cache(self, order: MonomialOrder, basis: Sequence[Polynomial],
+               leads: Iterable[Monomial]) -> tuple:
+        """Cache basis under order with its leads; return the basis."""
+        basis = self._gb[order] = tuple(basis)
+        self._leads[order] = tuple(leads)
+        return basis
 
     def __repr__(self) -> str:
         k, b = len(self.gens), self.ring.nblocks
@@ -665,11 +700,10 @@ def saturate_by_variable(I: Ideal, var: str | int,
     idx = ring.index(var) if var in ring.names else var
     if type(idx) is not int or not 0 <= idx < ring.nvars:
         raise ValueError(f"no variable {var!r} in {ring.names}")
-    if not _homogeneous(I.gens):
+    if not I._homogeneous:
         raise ValueError("saturation by a variable needs generators "
                          "homogeneous in total degree")
-    if any(all(not g.leading_monomial(order)[idx] for g in basis)
-           for order, basis in I._gb.items()):
+    if any(all(not m[idx] for m in leads) for leads in I._leads.values()):
         return I
     others = [i for i in range(ring.nvars) if i != idx]
     gb = I.groebner_basis(MonomialOrder(ring, [others + [idx]]), progress)
@@ -769,13 +803,17 @@ def saturate_by_block(I: Ideal, block: int,
                  for g, p in zip(J.gens, powers) if p]
         if not any(r.terms for r in _remainders(tests, basis, order)):
             # J.gens are a Groebner basis under order, and the shear back
-            # keeps the Hilbert series
+            # keeps the Hilbert series.  Dividing by y^p keeps the order
+            # of terms, so lm(g / y^p) = lm(g) / y^p
             back = Ideal(ring, [_shear(g, last, y + rest) for g in J.gens]
                          if j else J.gens)
-            back._numerator = MonomialIdeal(
-                ring, [g.leading_monomial(order) for g in J.gens])._numerator
-            gb = back.groebner_basis(grevlex_order(ring), progress)
-            out = Ideal(ring, gb).with_cached_basis(grevlex_order(ring), gb)
+            back._numerator = MonomialIdeal(ring, [
+                m[:last] + (m[last] - p,) + m[last + 1:]
+                for m, p in zip(sheared._leads[order], powers)])._numerator
+            grevlex = grevlex_order(ring)
+            gb = back.groebner_basis(grevlex, progress)
+            out = Ideal(ring, gb)
+            out._cache(grevlex, gb, back._leads[grevlex])
             out._numerator = back._numerator
             return out
     raise RuntimeError(f"block {block}: no saturation certified in "
@@ -786,11 +824,21 @@ def saturate_by_block(I: Ideal, block: int,
 
 
 def _minimalize(monos: Iterable[Monomial]) -> tuple:
-    out: list = []
-    for m in sorted(set(monos), key=lambda m: (sum(m), m)):
-        if not any(all(map(le, g, m)) for g in out):
-            out.append(m)
-    return tuple(out)
+    """The minimal monomials of monos, sorted by (total degree, exponents).
+    Each is packed into fields with a guard bit above its largest
+    exponent, so g divides m iff (m - g) & guard == 0, as in _Packer."""
+    monos = sorted(set(monos), key=lambda m: (sum(m), m))
+    if not monos:
+        return ()
+    width = max(map(max, monos)).bit_length() + 1
+    shifts = range(0, len(monos[0]) * width, width)
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    kept: dict = {}  # packed monomial: monomial
+    for m in monos:
+        p = sum(map(lshift, m, shifts))
+        if all((p - g) & guard for g in kept):
+            kept[p] = m
+    return tuple(kept.values())
 
 
 class MonomialIdeal:
@@ -836,8 +884,8 @@ class MonomialIdeal:
 def initial_ideal(I: Ideal, order: MonomialOrder | None = None) -> MonomialIdeal:
     """Ideal of the leads of I's Groebner basis under order (grevlex)."""
     order = order or grevlex_order(I.ring)
-    return MonomialIdeal(I.ring, [g.leading_monomial(order)
-                                  for g in I.groebner_basis(order)])
+    I.groebner_basis(order)
+    return MonomialIdeal(I.ring, I._leads[order])
 
 
 def _add_shifted(K: dict, L: dict, a: int, sign: int) -> dict:
@@ -975,17 +1023,20 @@ def _count_in(M: MonomialIdeal | Ideal, D: tuple) -> int:
     return out
 
 
-def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
-                   degrees: Sequence[tuple], skip_unit: bool) -> Iterator:
+def _macaulay_rows(I: Ideal, degrees: Sequence[tuple],
+                   skip_unit: bool) -> Iterator:
     """For each multidegree D of degrees in turn, yield the rows
     {column: int} of the products monomial * p (monomial != 1 if
-    skip_unit) in D, p's coefficients with denominators cleared.  A
-    column is the monomial itself packed into fields that hold every D,
-    variable 0 in the top field, so columns compare like exponent tuples
-    and matrix_rank pivots on lex-smallest monomials: on the n = 8
-    matrices that has 35-45% less fill-in than pivoting on lex-largest.
-    A product is one add, and each p is packed once for all degrees.
-    Raises ValueError for a D whose length is not the block count."""
+    skip_unit) in D over the nonzero generators p of I, with p's integer
+    terms I._int_terms.  A column is the monomial itself packed into
+    fields that hold every D, variable 0 in the top field, so columns
+    compare like exponent tuples and matrix_rank pivots on lex-smallest
+    monomials: on the n = 8 matrices that has 35-45% less fill-in than
+    pivoting on lex-largest.  A product is one add, and each p is packed
+    once for all degrees.
+    Raises ValueError for a D whose length is not the block count, or a
+    generator that is not multihomogeneous."""
+    ring = I.ring
     if any(len(D) != ring.nblocks for D in degrees):
         raise ValueError("degree vector length does not match block count")
     width = max(map(max, degrees), default=0).bit_length() + 1
@@ -994,9 +1045,8 @@ def _macaulay_rows(polys: Iterable[Polynomial], ring: RingSpec,
     def pack(mono: Monomial) -> int:
         return sum(map(lshift, mono, shifts))
 
-    compiled = [(p.multidegree(),
-                 [(pack(m), c) for m, c in _int_form(p.terms)[0].items()])
-                for p in polys if p.terms]
+    compiled = [(deg, [(pack(m), c) for m, c in terms.items()])
+                for deg, terms in zip(I._multidegrees, I._int_terms)]
     multipliers: dict = {}
     for D in degrees:
         rows = []
@@ -1025,12 +1075,11 @@ def graded_piece_dim(I: Ideal, degree: Sequence[int],
     """
     degree = tuple(degree)
     if method == "standard":
-        if not all(g.is_multihomogeneous() for g in I.gens):
-            raise ValueError("polynomial is not multihomogeneous")
+        I._multidegrees  # raises unless every generator is multihomogeneous
         return _count_in(I, degree)
     if method != "rank":
         raise ValueError(f"unknown method {method!r}")
-    rows, = _macaulay_rows(I.gens, I.ring, [degree], skip_unit=False)
+    rows, = _macaulay_rows(I, [degree], skip_unit=False)
     return matrix_rank(rows)
 
 
@@ -1045,10 +1094,9 @@ def min_gens_by_total_degree(I: Ideal) -> dict:
     span of all products (monomial != 1) * (generator) landing in D.
     Raises ValueError if a generator is not multihomogeneous.
     """
-    degrees = sorted({p.multidegree() for p in I.gens if p.terms})
+    degrees = sorted(set(I._multidegrees))
     out: dict = {}
-    for D, rows in zip(degrees,
-                       _macaulay_rows(I.gens, I.ring, degrees, skip_unit=True)):
+    for D, rows in zip(degrees, _macaulay_rows(I, degrees, skip_unit=True)):
         count = _count_in(I, D) - matrix_rank(rows)
         if count:
             td = sum(D)

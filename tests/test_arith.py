@@ -1,6 +1,7 @@
 """Tests for exact rational arithmetic and exact matrix rank."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,20 @@ def test_rank_examples():
     assert matrix_rank([{5: 2}, {}, {5: rat(-3, 7)}]) == 1
     assert matrix_rank([{10: 1, 20: 1}, {20: 1, 30: 1}, {10: 1, 30: -1}]) == 2
     assert matrix_rank([{10: 1, 20: 1}, {20: 1, 30: 1}, {10: 1, 30: 1}]) == 3
+    # one matrix of int, bool and Rational entries as dense lists, dicts
+    # and read-only mappings: all-int rows (the last two) are copied as
+    # they are, the others cleared of denominators, and no row is changed.
+    # Row 4 is 2 * (row 0 + row 1), so the rank is 3
+    dense = [[2, 0, rat(1, 2), 0], [True, 1, 0, False],
+             [rat(4), rat(-2, 3), rat(1), 0], [0, 0, 0, 0], [6, 2, 1, 0]]
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    proxies = [MappingProxyType(dict(enumerate(row))) for row in dense]
+    copies = [list(row) for row in dense], [dict(row) for row in sparse]
+    for rows in (dense, sparse, proxies):
+        assert matrix_rank(rows) == 3
+    assert (dense, sparse) == copies
+    assert [dict(row) for row in proxies] == [dict(enumerate(row))
+                                              for row in dense]
 
 
 matrix_entries = st.integers(min_value=-30, max_value=30)
@@ -277,6 +292,13 @@ def test_int_form_clears_denominators():
     assert _int_form(values) == ({0: 3, 1: -2, 3: 24}, 6)
     assert values[0] == rat(1, 2)
     assert _int_form({}) == ({}, 1)
+    # all ints: a new dict of the nonzero values, scale 1; a bool is no
+    # int there, so it comes out as 1 or is dropped
+    ints = {0: 3, 1: 0, 2: -1}
+    out, scale = _int_form(ints)
+    assert (out, scale) == ({0: 3, 2: -1}, 1) and out is not ints
+    out, _ = _int_form({0: True, 1: False, 2: 5})
+    assert out == {0: 1, 2: 5} and type(out[0]) is int
 
 
 def test_primitive_divides_content_and_makes_lead_positive():

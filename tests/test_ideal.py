@@ -1198,6 +1198,73 @@ def test_saturation_pipeline_repeats_no_run(monkeypatch, n):
         assert list(basis) == buchberger(I.gens, order)
 
 
+# -- the leads an Ideal caches with each basis -------------------------------
+
+
+def assert_cached_leads_are_leading_monomials(I):
+    """Every basis I caches has its leads, in basis order, cached under
+    the same order; returns the number of bases checked."""
+    assert list(I._leads) == list(I._gb)
+    for order, basis in I._gb.items():
+        assert I._leads[order] == tuple(g.leading_monomial(order)
+                                        for g in basis)
+    return len(I._gb)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_cached_leads_are_the_leading_monomials_in_the_pipeline(
+        monkeypatch, n):
+    # every intermediate ideal of the pipeline, and the lex basis of its
+    # result: the leads come from the run (the back run's also for the
+    # block's result), and an ideal's one K-polynomial, read off a basis
+    # or handed over (a back run's is read off the divided leads), is
+    # that of its initial ideal under every cached order
+    made = []
+    init = Ideal.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(Ideal, "__init__", spy)
+    saturation_pipeline(n).groebner_basis(lex_order(moduli_ring(n)))
+    bases = sum(map(assert_cached_leads_are_leading_monomials, made))
+    with_k = [I for I in made if "_numerator" in vars(I)]
+    for I in with_k:
+        for leads in I._leads.values():
+            assert I._numerator == MonomialIdeal(I.ring, leads)._numerator
+    assert (bases, len(with_k)) == {5: (2, 1), 6: (3, 1), 7: (5, 3)}[n]
+
+
+def test_cached_leads_are_the_leading_monomials_on_random_ideals():
+    # generators of degrees 1 to 3, homogeneous or not, with a basis
+    # asked for under each of XYZ_ORDERS: a polynomial of several terms
+    # lists its lead first only because the run emits it so
+    rng = random.Random(20261022)
+    for _ in range(30):
+        gens = [random_poly(rng, XYZ, rng.randint(1, 3), rng.random() < 0.5)
+                for _ in range(rng.randint(1, 3))]
+        I = Ideal(XYZ, gens)
+        for order in XYZ_ORDERS:
+            assert initial_ideal(I, order) == MonomialIdeal(
+                XYZ, [g.leading_monomial(order)
+                      for g in I.groebner_basis(order)])
+        assert assert_cached_leads_are_leading_monomials(I) == 6
+
+
+def test_a_hand_built_basis_has_its_leads_read_by_its_order():
+    # x^2*z is listed first, but lex puts x^2*y above it; z divides no
+    # lead, so it is a nonzerodivisor, read off the cached lead with no run
+    g = P(XYZ, "x^2*z - x^2*y")
+    assert next(iter(g.terms)) == (2, 0, 1)
+    lex = lex_order(XYZ)
+    I = Ideal(XYZ, [g]).with_cached_basis(lex, [g])
+    assert I._leads == {lex: ((2, 1, 0),)}
+    assert initial_ideal(I, lex) == MonomialIdeal(XYZ, [(2, 1, 0)])
+    assert saturate_by_variable(I, "z") is I
+    assert list(I._gb) == [lex]
+
+
 # -- monomial ideals and invariants ----------------------------------------
 
 
@@ -1487,7 +1554,7 @@ def test_macaulay_rows_match_the_column_numbering_builder():
         degrees = sorted({p.multidegree() for p in polys}
                          | {multidegree(3), multidegree(3)})
         skip_unit = rng.random() < 0.5
-        packed = _macaulay_rows(polys, ring, degrees, skip_unit)
+        packed = _macaulay_rows(Ideal(ring, polys), degrees, skip_unit)
         numbered = macaulay_rows_by_column_number(polys, ring, degrees,
                                                   skip_unit)
         for D, rows, want in zip(degrees, packed, numbered):
@@ -1516,7 +1583,7 @@ def min_gens_over_basis_degrees(I):
     M = initial_ideal(I)
     out = {}
     for D in sorted({g.multidegree() for g in gb}):
-        rows, = _macaulay_rows(gb, I.ring, [D], skip_unit=True)
+        rows, = _macaulay_rows(Ideal(I.ring, gb), [D], skip_unit=True)
         inside = sum(map(M.contains, monomials_of_multidegree(I.ring, D)))
         count = inside - matrix_rank(rows)
         if count:

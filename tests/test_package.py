@@ -1,7 +1,7 @@
 """Tests for the package's namespace: its public names and private helpers."""
 
 import ast
-import importlib
+import importlib.util
 from pathlib import Path
 
 import m0nbar
@@ -121,3 +121,37 @@ def test_every_name_the_bench_uses_resolves():
         except (ImportError, KeyError):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_the_bench_tracer_sees_the_invariants_layers():
+    # bench/run.py --trace 1 reports the invariants' layers through the
+    # spans of bench/tracer.py, which wraps each traced name wherever
+    # m0nbar binds it: a faster path that bypassed buchberger,
+    # initial_ideal or matrix_rank would blank its span.  The tracer is
+    # loaded from its file and every wrapper is removed afterwards
+    import m0nbar.cli  # the tracer wraps cli.main too
+    import m0nbar.ideal as ideal
+    from test_moduli import cubic_quartic_ideal
+
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    originals = (ideal.buchberger, ideal.initial_ideal, ideal.matrix_rank,
+                 m0nbar.cli.main)
+    I = cubic_quartic_ideal(6)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        ideal.min_gens_by_total_degree(I)
+        ideal.graded_piece_dim(I, (1, 1, 2), "rank")
+        ideal.graded_piece_dim(I, (1, 1, 2), "standard")
+    finally:
+        tracer.restore()
+    assert (ideal.buchberger, ideal.initial_ideal, ideal.matrix_rank,
+            m0nbar.cli.main) == originals
+    calls = {name: stat[0] for name, stat in tracer.spans.items()}
+    for name in ("ideal.buchberger", "ideal.initial_ideal",
+                 "arith.matrix_rank"):
+        assert calls[name] > 0, name
+    assert tracer.counters["arith.matrix_rank.rows"] > 0
