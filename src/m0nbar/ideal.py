@@ -35,7 +35,8 @@ a complete intersection of their degrees, which no such ideal undercuts.
 Progress counts only the reduced pairs.  Public Groebner bases are
 reduced, monic, and sorted by ascending leading monomial, so equal
 ideals yield identical bases.  Each run checks its generators on its
-packed reduced basis, and every basis an Ideal caches comes from a run.
+packed reduced basis, and every basis an Ideal caches comes from a run,
+which lists each element's leading monomial first.
 
 Saturation I : v^infinity of a homogeneous ideal takes one grevlex run
 with v as the smallest variable, whose basis elements divided by their
@@ -275,6 +276,21 @@ def _spoly(gi: _Gen, gj: _Gen, l: int, guard: int) -> dict:
     return num
 
 
+def _minimal(packed: Iterable[int], guard: int) -> list:
+    """The packed monomials that no other one of packed divides, ascending
+    and one copy each, where d divides m iff (m - d) & guard == 0.  A
+    proper divisor is a smaller int, so it comes first, and a divisor
+    that is not minimal has a minimal divisor of its own."""
+    kept: list = []
+    for m in sorted(packed):
+        for d in kept:
+            if not (m - d) & guard:
+                break
+        else:
+            kept.append(m)
+    return kept
+
+
 def _update(G: list, P: list, h: _Gen, packer: _Packer) -> None:
     """Gebauer-Moller pair update: append h to G, prune and extend the
     descending list P of pairs (lcm total degree, packed lcm, i, j).
@@ -294,16 +310,7 @@ def _update(G: list, P: list, h: _Gen, packer: _Packer) -> None:
     groups: dict = {}
     for i, l in enumerate(L):
         groups.setdefault(l, []).append(i)
-    # a proper divisor of a monomial has smaller exponent fields, and a
-    # divisor that is not minimal has a minimal divisor of its own
-    minimal: list = []
-    for l in sorted(groups):
-        for s in minimal:
-            if not (l - s) & guard:
-                break
-        else:
-            minimal.append(l)
-    for l in minimal:
+    for l in _minimal(groups, guard):
         members = groups[l]
         if any(l == (G[i].lm + lmh) & low for i in members):
             continue
@@ -416,12 +423,7 @@ def _complete_intersection_series(polys: Sequence[Polynomial]) -> list | None:
 
 def _gap(G: Sequence[_Gen], packer: _Packer, goal: dict) -> dict:
     """K(R/<lm G>) - goal, total-degree K-polynomials as {d: c}."""
-    guard = packer.guard
-    minimal: list = []
-    # a divisor has smaller exponent fields than its multiples
-    for e in sorted({g.lm & packer.low for g in G}):
-        if all((e - f) & guard for f in minimal):
-            minimal.append(e)
+    minimal = _minimal([g.lm & packer.low for g in G], packer.guard)
     K = _k_polynomial(tuple(map(packer.unpack, minimal)),
                       (1,) * len(packer.shifts))
     return _add_shifted(K, goal, 0, -1)
@@ -510,17 +512,14 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer) -> list:
     leading monomial, each with a positive leading coefficient and its
     leading monomial as its first key."""
     guard = packer.guard
-    kept: list = []
-    for g in sorted(G, key=lambda g: g.lm):
-        if all((g.lm - f.lm) & guard for f in kept):
-            kept.append(g)
+    by_lead = {g.lm: g for g in G}  # no lead divides a later one
     # no lead divides a monomial below it, so reducing g's tail against
-    # the leads below g takes the same steps as against all of kept; that
+    # the leads below g takes the same steps as against all of them; that
     # list grows at the end, as the shared first cache needs
     first: dict = {}
     below: list = []
     out = []
-    for g in kept:
+    for g in map(by_lead.get, _minimal(by_lead, guard)):
         r, den = _reduce(dict(g.tail), below, guard, first)
         out.append(_primitive({g.lm: g.lc * den, **r}, g.lm))
         below.append(g)
@@ -532,10 +531,10 @@ def _reduced_basis(G: Sequence[_Gen], packer: _Packer) -> list:
 
 class Ideal:
     """An ideal given by generators, with its reduced Groebner bases
-    cached by order, _leads[order] the leading monomials of _gb[order],
-    and one multigraded K-polynomial _numerator, set once:
-    saturate_by_block hands it over, or it is read off in(I) under the
-    first cached order, or grevlex when the generators are inhomogeneous.
+    cached by order, each from a run, and one multigraded K-polynomial
+    _numerator, set once: saturate_by_block hands it over, or it is read
+    off in(I) under the first cached order, or grevlex when the
+    generators are inhomogeneous.
     Homogeneous (multihomogeneous) I have one total-degree (multigraded)
     Hilbert series under every order and every shear of a block.  The
     generators' homogeneity, multidegrees and integer terms are each
@@ -548,7 +547,6 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self._gb: dict = {}
-        self._leads: dict = {}
 
     @cached_property
     def _homogeneous(self) -> bool:
@@ -575,38 +573,24 @@ class Ideal:
 
     def groebner_basis(self, order: MonomialOrder | None = None,
                        progress: Progress | None = None) -> tuple:
-        """Reduced basis under order (grevlex by default), cached with
-        its leads, which are the first terms of the run's output.  A miss
+        """Reduced basis under order (grevlex by default), cached.  A miss
         is one run, targeted if the generators are homogeneous and K needs
         no run to read: a basis is cached or K was handed over."""
         if order is None:
             order = grevlex_order(self.ring)
         if order.ring != self.ring:
             raise ValueError("order from a different ring")
-        cached = self._gb.get(order)
-        if cached is None:
+        if order not in self._gb:
             gens = self.gens
             if self._homogeneous and (self._gb or "_numerator" in vars(self)):
                 gens = _Targeted(gens, hilbert_numerator(self))
-            basis = buchberger(gens, order, progress)
-            cached = self._cache(order, basis,
-                                 [next(iter(g.terms)) for g in basis])
-        return cached
+            self._gb[order] = tuple(buchberger(gens, order, progress))
+        return self._gb[order]
 
-    def with_cached_basis(self, order: MonomialOrder,
-                          basis: Sequence[Polynomial]) -> "Ideal":
-        """Cache basis, the reduced basis under order sorted by lead; its
-        leads are read with leading_monomial, since its terms may come in
-        any order."""
-        self._cache(order, basis, [g.leading_monomial(order) for g in basis])
-        return self
-
-    def _cache(self, order: MonomialOrder, basis: Sequence[Polynomial],
-               leads: Iterable[Monomial]) -> tuple:
-        """Cache basis under order with its leads; return the basis."""
-        basis = self._gb[order] = tuple(basis)
-        self._leads[order] = tuple(leads)
-        return basis
+    def _leads(self, order: MonomialOrder) -> list:
+        """Leading monomials of the basis cached under order: the first
+        terms of each element, as buchberger emits them."""
+        return [next(iter(g.terms)) for g in self._gb[order]]
 
     def __repr__(self) -> str:
         k, b = len(self.gens), self.ring.nblocks
@@ -703,7 +687,7 @@ def saturate_by_variable(I: Ideal, var: str | int,
     if not I._homogeneous:
         raise ValueError("saturation by a variable needs generators "
                          "homogeneous in total degree")
-    if any(all(not m[idx] for m in leads) for leads in I._leads.values()):
+    if any(all(not m[idx] for m in I._leads(o)) for o in I._gb):
         return I
     others = [i for i in range(ring.nvars) if i != idx]
     gb = I.groebner_basis(MonomialOrder(ring, [others + [idx]]), progress)
@@ -739,7 +723,7 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     gb = buchberger(gens, elimination_order(ext, [nv]))
     kept = [Polynomial(ring, {m[:nv]: c for m, c in g.terms.items()})
             for g in gb if not any(m[nv] for m in g.terms)]
-    return Ideal(ring, kept).with_cached_basis(grevlex_order(ring), kept)
+    return Ideal(ring, kept)
 
 
 def _shear(p: Polynomial, idx: int, lin: Polynomial) -> Polynomial:
@@ -775,11 +759,12 @@ def saturate_by_block(I: Ideal, block: int,
     last variable divides no lead of a basis cached on I with no run
     (block b at n = 5 and 6, c and d at n = 7, d and e at n = 8), and at
     n = 9 every block but a and b, which are settled at j = 1.
-    Raises ValueError unless 0 <= block < nblocks, and RuntimeError if no
-    attempt is certified, which points to a wrong Groebner basis."""
+    Raises ValueError unless block is an int with 0 <= block < nblocks,
+    and RuntimeError if no attempt is certified, which points to a wrong
+    Groebner basis."""
     ring = I.ring
-    if not 0 <= block < ring.nblocks:
-        raise ValueError(f"no block {block} among {ring.nblocks}")
+    if type(block) is not int or not 0 <= block < ring.nblocks:
+        raise ValueError(f"no block {block!r} among {ring.nblocks}")
     start, stop = ring.block_slices()[block]
     last = stop - 1
     y = ring.var_by_index(last)
@@ -809,11 +794,10 @@ def saturate_by_block(I: Ideal, block: int,
                          if j else J.gens)
             back._numerator = MonomialIdeal(ring, [
                 m[:last] + (m[last] - p,) + m[last + 1:]
-                for m, p in zip(sheared._leads[order], powers)])._numerator
+                for m, p in zip(sheared._leads(order), powers)])._numerator
             grevlex = grevlex_order(ring)
-            gb = back.groebner_basis(grevlex, progress)
-            out = Ideal(ring, gb)
-            out._cache(grevlex, gb, back._leads[grevlex])
+            out = Ideal(ring, back.groebner_basis(grevlex, progress))
+            out._gb[grevlex] = out.gens
             out._numerator = back._numerator
             return out
     raise RuntimeError(f"block {block}: no saturation certified in "
@@ -825,20 +809,17 @@ def saturate_by_block(I: Ideal, block: int,
 
 def _minimalize(monos: Iterable[Monomial]) -> tuple:
     """The minimal monomials of monos, sorted by (total degree, exponents).
-    Each is packed into fields with a guard bit above its largest
-    exponent, so g divides m iff (m - g) & guard == 0, as in _Packer."""
-    monos = sorted(set(monos), key=lambda m: (sum(m), m))
+    Each is packed as that key, variable 0 highest, in fields with a
+    guard bit above the largest total degree, so ints compare like the
+    key and g divides m iff (m - g) & guard == 0, as in _Packer."""
+    monos = tuple(monos)
     if not monos:
         return ()
-    width = max(map(max, monos)).bit_length() + 1
-    shifts = range(0, len(monos[0]) * width, width)
+    width = max(map(sum, monos)).bit_length() + 1
+    shifts = range(len(monos[0]) * width, -1, -width)
     guard = sum(1 << (s + width - 1) for s in shifts)
-    kept: dict = {}  # packed monomial: monomial
-    for m in monos:
-        p = sum(map(lshift, m, shifts))
-        if all((p - g) & guard for g in kept):
-            kept[p] = m
-    return tuple(kept.values())
+    packed = {sum(map(lshift, (sum(m), *m), shifts)): m for m in monos}
+    return tuple(map(packed.get, _minimal(packed, guard)))
 
 
 class MonomialIdeal:
@@ -885,7 +866,7 @@ def initial_ideal(I: Ideal, order: MonomialOrder | None = None) -> MonomialIdeal
     """Ideal of the leads of I's Groebner basis under order (grevlex)."""
     order = order or grevlex_order(I.ring)
     I.groebner_basis(order)
-    return MonomialIdeal(I.ring, I._leads[order])
+    return MonomialIdeal(I.ring, I._leads(order))
 
 
 def _add_shifted(K: dict, L: dict, a: int, sign: int) -> dict:

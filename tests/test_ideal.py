@@ -9,7 +9,7 @@ intersection of monomial ideals.
 import random
 from itertools import permutations, product
 from math import comb
-from operator import le, sub
+from operator import add, le, sub
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +39,8 @@ from m0nbar.ideal import (
 from m0nbar.ideal import (
     _k_polynomial,
     _macaulay_rows,
+    _minimal,
+    _minimalize,
     _Overflow,
     _Packer,
     _count_in,
@@ -310,6 +312,55 @@ def test_field_widths_are_bytes_up_to_64_bits():
         XY, f"y^{3 * 2 ** 61}")
 
 
+def minimal_oracle(monos):
+    """The distinct monomials of monos that no other one divides, by
+    comparing exponent tuples."""
+    monos = set(monos)
+    return {m for m in monos
+            if not any(d != m and all(map(le, d, m)) for d in monos)}
+
+
+def minimal_cases(rng, nv, top):
+    """Seeded lists of monomials in nv variables, each exponent at most
+    top: the empty list, lists with duplicates, and lists of multiples
+    of one monomial that is among them, placed at random."""
+    yield []
+    for _ in range(20):
+        size = rng.choice([2, top])
+        monos = [tuple(rng.randint(0, size) for _ in range(nv))
+                 for _ in range(rng.randint(1, 12))]
+        yield monos + rng.choices(monos, k=rng.randint(1, 4))
+        base = tuple(rng.randint(0, size) for _ in range(nv))
+        multiples = [tuple(map(add, base, m)) for m in monos]
+        multiples.insert(rng.randint(0, len(multiples)), base)
+        yield multiples
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_minimal_keeps_the_monomials_no_other_divides(width):
+    # _minimal on monomials packed by _Packer, with their order digits
+    # (as _reduced_basis passes them) and without (as _update and _gap
+    # do), and _minimalize with its own packing, against tuple
+    # divisibility
+    rng = random.Random(width)
+    divided = 0  # lists with one minimal monomial and others it divides
+    for ring in (XYZ, R6):
+        nv = ring.nvars
+        for order in (grevlex_order(ring), lex_order(ring)):
+            packer = _Packer(order, width)
+            for monos in minimal_cases(rng, nv, packer.mask // nv // 2):
+                want = minimal_oracle(monos)
+                divided += len(want) == 1 < len(set(monos))
+                packed = [packer.pack(m) for m in monos]
+                for ms in (packed, [m & packer.low for m in packed]):
+                    kept = _minimal(ms, packer.guard)
+                    assert kept == sorted(set(kept))
+                    assert set(map(packer.unpack, kept)) == want
+                assert _minimalize(monos) == tuple(
+                    sorted(want, key=lambda m: (sum(m), m)))
+    assert divided == 88  # of the 164 lists
+
+
 @pytest.mark.parametrize("make_order", [
     lex_order,
     grevlex_order,
@@ -423,7 +474,8 @@ def test_reused_bases_match_fresh_runs_on_random_ideals(monkeypatch):
                 for _ in range(rng.randint(1, 3))]
         fresh = {order: buchberger(gens, order) for order in XYZ_ORDERS}
         for first, second in permutations(XYZ_ORDERS, 2):
-            I = Ideal(XYZ, gens).with_cached_basis(first, fresh[first])
+            I = Ideal(XYZ, gens)
+            I.groebner_basis(first)
             runs.clear()
             assert list(I.groebner_basis(second)) == fresh[second]
             assert I.groebner_basis(second) is I.groebner_basis(second)
@@ -501,8 +553,8 @@ def test_targeted_runs_match_plain_runs_on_random_ideals(monkeypatch):
                 for _ in range(rng.randint(1, 4))]
         fresh = {order: buchberger(gens, order) for order in XYZ_ORDERS}
         for first, second in permutations(XYZ_ORDERS, 2):
-            I = Ideal(XYZ, fresh[first]).with_cached_basis(first,
-                                                            fresh[first])
+            I = Ideal(XYZ, fresh[first])
+            I.groebner_basis(first)
             runs.clear()
             assert list(I.groebner_basis(second)) == fresh[second]
             (gens, order, pairs), = runs
@@ -588,8 +640,8 @@ def test_an_ideal_reads_one_k_polynomial_off_its_first_cached_basis(
                 for _ in range(rng.randint(1, 3))]
         want = hilbert_numerator(initial_ideal(Ideal(XYZ, gens)))
         for order in XYZ_ORDERS:
-            I = Ideal(XYZ, gens).with_cached_basis(order,
-                                                   buchberger(gens, order))
+            I = Ideal(XYZ, gens)
+            I.groebner_basis(order)
             runs.clear()
             assert hilbert_numerator(I) == want
             assert runs == []
@@ -754,7 +806,7 @@ def test_saturation_reads_a_nonzerodivisor_off_a_cached_basis(monkeypatch):
     I = Ideal(XYZ, [P(XYZ, "x*y - z^2")])
     zyx = MonomialOrder(XYZ, [[2], [1], [0]])
     for order in (lex_order(XYZ), zyx):
-        I.with_cached_basis(order, buchberger(I.gens, order))
+        I.groebner_basis(order)
     runs = spy_on_runs(monkeypatch)
     assert saturate_by_variable(I, "x") is I
     assert runs == []
@@ -774,7 +826,7 @@ def test_saturation_runs_when_the_variable_divides_a_cached_lead(
     # I : x^infinity = <y>, which only the run finds; y and z divide no
     # lead under lex, so the shortcut must read x's exponent
     I = Ideal(XYZ, [P(XYZ, "x^2*y - x^2*z")])
-    I.with_cached_basis(lex_order(XYZ), I.gens)
+    assert I.groebner_basis(lex_order(XYZ)) == I.gens
     runs = spy_on_runs(monkeypatch)
     J = saturate_by_variable(I, "x")
     assert [str(g) for g in J.gens] == ["y - z"]
@@ -803,8 +855,8 @@ def test_saturation_shortcut_matches_the_oracle_on_random_ideals(
         sats = [oracle_saturation(Ideal(XYZ, gens), v) for v in range(3)]
         for order in XYZ_ORDERS:
             for v in range(3):
-                I = Ideal(XYZ, gens).with_cached_basis(
-                    order, buchberger(gens, order))
+                I = Ideal(XYZ, gens)
+                I.groebner_basis(order)
                 runs.clear()
                 J = saturate_by_variable(I, v)
                 if not runs and order != v_last[v]:
@@ -857,7 +909,7 @@ def test_saturate_by_block():
     assert equal_ideals(T, Ideal(ring, [P(ring, "a0"), P(ring, "a1")]))
 
 
-@pytest.mark.parametrize("block", [-1, 2, 5])
+@pytest.mark.parametrize("block", [-1, 2, 5, True, 0.0, "0"])
 def test_saturate_by_block_rejects_a_missing_block(block):
     ring = polynomial_ring(["a0", "a1", "c0"], block_sizes=(2, 1))
     I = Ideal(ring, [P(ring, "a0*c0"), P(ring, "a1*c0")])
@@ -1198,16 +1250,16 @@ def test_saturation_pipeline_repeats_no_run(monkeypatch, n):
         assert list(basis) == buchberger(I.gens, order)
 
 
-# -- the leads an Ideal caches with each basis -------------------------------
+# -- the bases an Ideal caches and the leads read off them -------------------
 
 
 def assert_cached_leads_are_leading_monomials(I):
-    """Every basis I caches has its leads, in basis order, cached under
-    the same order; returns the number of bases checked."""
-    assert list(I._leads) == list(I._gb)
+    """Every basis I caches equals a fresh run on I's generators under
+    its order, and the leads read off it, its elements' first terms, are
+    their leading monomials; returns the number of bases checked."""
     for order, basis in I._gb.items():
-        assert I._leads[order] == tuple(g.leading_monomial(order)
-                                        for g in basis)
+        assert list(basis) == buchberger(I.gens, order)
+        assert I._leads(order) == [g.leading_monomial(order) for g in basis]
     return len(I._gb)
 
 
@@ -1231,8 +1283,9 @@ def test_cached_leads_are_the_leading_monomials_in_the_pipeline(
     bases = sum(map(assert_cached_leads_are_leading_monomials, made))
     with_k = [I for I in made if "_numerator" in vars(I)]
     for I in with_k:
-        for leads in I._leads.values():
-            assert I._numerator == MonomialIdeal(I.ring, leads)._numerator
+        for order in I._gb:
+            assert I._numerator == MonomialIdeal(I.ring,
+                                                 I._leads(order))._numerator
     assert (bases, len(with_k)) == {5: (2, 1), 6: (3, 1), 7: (5, 3)}[n]
 
 
@@ -1252,17 +1305,29 @@ def test_cached_leads_are_the_leading_monomials_on_random_ideals():
         assert assert_cached_leads_are_leading_monomials(I) == 6
 
 
-def test_a_hand_built_basis_has_its_leads_read_by_its_order():
-    # x^2*z is listed first, but lex puts x^2*y above it; z divides no
-    # lead, so it is a nonzerodivisor, read off the cached lead with no run
-    g = P(XYZ, "x^2*z - x^2*y")
-    assert next(iter(g.terms)) == (2, 0, 1)
-    lex = lex_order(XYZ)
-    I = Ideal(XYZ, [g]).with_cached_basis(lex, [g])
-    assert I._leads == {lex: ((2, 1, 0),)}
-    assert initial_ideal(I, lex) == MonomialIdeal(XYZ, [(2, 1, 0)])
-    assert saturate_by_variable(I, "z") is I
-    assert list(I._gb) == [lex]
+def test_cached_bases_are_fresh_runs_after_intersection_and_saturation():
+    # an intersection caches no basis, so its first is a run on its own
+    # generators, which are that basis already; a block saturation's
+    # result caches its back run's grevlex basis, which a fresh run on its
+    # generators gives too.  18 of the 24 block saturations return a new
+    # ideal
+    rng = random.Random(20261023)
+    saturated = bases = 0
+    for seed in range(12):
+        ring = RANDOM_RINGS[seed % len(RANDOM_RINGS)]
+        I = random_homogeneous_ideal(rng, ring)
+        J = random_homogeneous_ideal(rng, ring)
+        K = intersect(I, J)
+        assert K._gb == {}
+        assert K.groebner_basis() == K.gens  # as intersect's docstring says
+        for block in range(ring.nblocks):
+            S = saturate_by_block(I, block)
+            if S is not I:
+                saturated += 1
+                assert list(S._gb) == [grevlex_order(ring)]
+                bases += assert_cached_leads_are_leading_monomials(S)
+        bases += sum(map(assert_cached_leads_are_leading_monomials, (I, K)))
+    assert (saturated, bases) == (18, 53)
 
 
 # -- monomial ideals and invariants ----------------------------------------

@@ -35,17 +35,29 @@ def _bound_names(stmt: ast.stmt) -> set:
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
+def _units(stmt: ast.stmt) -> list:
+    """(names bound, nodes that may use names) of stmt; each statement of
+    a class body is a unit of its own, so a method that only its own body
+    mentions is unused."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [(_bound_names(stmt), [stmt])]
+    header = [*stmt.bases, *stmt.keywords, *stmt.decorator_list]
+    return [({stmt.name}, header), *(u for s in stmt.body for u in _units(s))]
+
+
 def test_every_private_helper_is_used():
-    # a module-level _name that src/ mentions nowhere outside its own
-    # definition is dead code
+    # a _name bound at module level or in a class body (a method, a
+    # property) that src/ mentions nowhere outside its own definition is
+    # dead code
     private, used = set(), set()
     for path in sorted(Path(m0nbar.__file__).parent.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            bound = _bound_names(stmt)
+        units = [u for stmt in ast.parse(path.read_text()).body
+                 for u in _units(stmt)]
+        for bound, nodes in units:
             private |= {name for name in bound
                         if name.startswith("_") and not name.startswith("__")}
             inner = set()
-            for node in ast.walk(stmt):
+            for node in (n for top in nodes for n in ast.walk(top)):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     inner.add(node.id)
                 elif isinstance(node, ast.Attribute):
